@@ -43,6 +43,7 @@ from .graph import (
     read_edge_list,
 )
 from .kernel import (
+    STATIONARY_SOLVER,
     WalkConfig,
     build_pair_chain,
     marginal_at_t,
@@ -131,16 +132,25 @@ def replicate_rng(master: int, experiment: str, cell: int, rep: int, stream: int
     return random.Random(substream_seed(master, _EXPERIMENT_IDS[experiment], cell, rep, stream))
 
 
-def _common_columns(cfg: CampaignConfig) -> dict:
+COMMON_COLUMNS = (
+    "experiment", "graph", "n_nodes", "n_cases", "p_case_case", "p_case_noncase",
+    "p_noncase_noncase", "graph_seed", "master_seed", "init", "burn_in",
+)
+
+
+def _common_columns(cfg: CampaignConfig, graph: Graph) -> dict:
+    """Provenance columns of every row.  Node and case counts come from the
+    graph used; the generator parameters are blank for a loaded graph."""
+    generated = not cfg.graph_path
     return {
         "experiment": cfg.experiment,
         "graph": cfg.graph_label(),
-        "n_nodes": cfg.n_nodes,
-        "n_cases": cfg.n_cases,
-        "p_case_case": cfg.p_case_case,
-        "p_case_noncase": cfg.p_case_noncase,
-        "p_noncase_noncase": cfg.p_noncase_noncase,
-        "graph_seed": cfg.graph_seed,
+        "n_nodes": graph.n,
+        "n_cases": sum(1 for v in graph.values if v == 1.0),
+        "p_case_case": cfg.p_case_case if generated else "",
+        "p_case_noncase": cfg.p_case_noncase if generated else "",
+        "p_noncase_noncase": cfg.p_noncase_noncase if generated else "",
+        "graph_seed": cfg.graph_seed if generated else "",
         "master_seed": cfg.seed,
         "init": cfg.init if cfg.init != "fixed" else f"fixed:{cfg.init_node}",
         "burn_in": cfg.effective_burn_in(),
@@ -153,14 +163,6 @@ def format_cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
-
-
-def write_csv(rows: list[dict], columns: tuple[str, ...], path: str) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_cell(row[c]) for c in columns))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def render_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
@@ -197,7 +199,7 @@ def _analysis_trace(graph: Graph, wcfg: WalkConfig, burn_in: int, rng: random.Ra
 # --------------------------------------------------------------------------
 # stationary-check
 
-STATIONARY_COLUMNS = tuple(_common_columns(CampaignConfig(experiment="stationary-check"))) + (
+STATIONARY_COLUMNS = COMMON_COLUMNS + (
     "r", "w", "solver", "n_states", "edge_count",
     "max_marginal_dev", "max_pair_dev", "max_mixed_residual",
 )
@@ -208,14 +210,13 @@ def run_stationary_check(cfg: CampaignConfig, graph: Graph | None = None) -> lis
     graph = graph if graph is not None else load_graph(cfg)
     n = graph.n
     two_r = 2 * graph.edge_count
-    common = _common_columns(cfg)
+    common = _common_columns(cfg, graph)
     rows = []
     for r in cfg.r_values:
         for w in cfg.w_values:
             wcfg = WalkConfig(r=r, w=w)
             chain = build_pair_chain(graph, wcfg)
             pi = stationary_pair(chain)
-            solver = "direct" if chain.n_states <= 10_000 else "power"
             marginal = chain.node_marginal(pi)
             closed = stationary_node(graph, wcfg)
             # Two-value pattern: adjacent pairs carry (1 + r/N), the rest r/N,
@@ -226,7 +227,7 @@ def run_stationary_check(cfg: CampaignConfig, graph: Graph | None = None) -> lis
             mixed = _mixed_equation_residual(graph, wcfg, pi)
             rows.append({
                 **common,
-                "r": r, "w": w, "solver": solver,
+                "r": r, "w": w, "solver": STATIONARY_SOLVER,
                 "n_states": chain.n_states, "edge_count": graph.edge_count,
                 "max_marginal_dev": float(np.max(np.abs(marginal - closed))),
                 "max_pair_dev": pair_dev,
@@ -256,7 +257,7 @@ def _mixed_equation_residual(graph: Graph, wcfg: WalkConfig, pair_pi: np.ndarray
 # --------------------------------------------------------------------------
 # convergence
 
-CONVERGENCE_COLUMNS = tuple(_common_columns(CampaignConfig(experiment="convergence"))) + (
+CONVERGENCE_COLUMNS = COMMON_COLUMNS + (
     "B", "r", "w", "t", "y_mc", "y_mc_se", "y_exact", "y_equilibrium",
 )
 
@@ -272,7 +273,7 @@ def run_convergence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dic
     """Monte Carlo expected node value at checkpoints, with the exact pair-chain
     propagation and the equilibrium target as companions."""
     graph = graph if graph is not None else load_graph(cfg)
-    common = _common_columns(cfg)
+    common = _common_columns(cfg, graph)
     checkpoints = cfg.t_checkpoints
     horizon = max(checkpoints)
     y = np.asarray(graph.values)
@@ -317,7 +318,7 @@ def run_convergence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dic
 # --------------------------------------------------------------------------
 # prevalence
 
-PREVALENCE_COLUMNS = tuple(_common_columns(CampaignConfig(experiment="prevalence"))) + (
+PREVALENCE_COLUMNS = COMMON_COLUMNS + (
     "B", "walk_length", "r", "w",
     "mu_mean", "mu_sd", "mu_se", "psi_mean", "mu_true", "failure_rate",
 )
@@ -335,7 +336,7 @@ def _prevalence_rep(graph: Graph, wcfg: WalkConfig, burn_in: int, scheme: str,
 def run_prevalence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dict]:
     """Node-value ratio estimation over the (T, r, w) grid."""
     graph = graph if graph is not None else load_graph(cfg)
-    common = _common_columns(cfg)
+    common = _common_columns(cfg, graph)
     mu_true = float(np.mean(graph.values))
     burn = cfg.effective_burn_in()
     rows = []
@@ -368,7 +369,7 @@ def _grid(cfg: CampaignConfig):
 # --------------------------------------------------------------------------
 # size
 
-SIZE_COLUMNS = tuple(_common_columns(CampaignConfig(experiment="size"))) + (
+SIZE_COLUMNS = COMMON_COLUMNS + (
     "B", "n_extracted", "r", "w", "estimator",
     "mean", "sd", "se", "n_success", "failure_rate", "negative_rate", "true_edge_count",
 )
@@ -398,7 +399,7 @@ def run_size(cfg: CampaignConfig, graph: Graph | None = None) -> list[dict]:
     GR-CR cells empty and are reported via the failure-rate column.
     """
     graph = graph if graph is not None else load_graph(cfg)
-    common = _common_columns(cfg)
+    common = _common_columns(cfg, graph)
     burn = cfg.effective_burn_in()
     rows = []
     column_of = {"cr": 0, "gr": 1, "grcr": 2}
@@ -438,7 +439,7 @@ def _check_failure_rate(cfg: CampaignConfig, rate: float, label: str) -> None:
 # --------------------------------------------------------------------------
 # motif totals and ratio
 
-MOTIF_COLUMNS = tuple(_common_columns(CampaignConfig(experiment="motif-total"))) + (
+MOTIF_COLUMNS = COMMON_COLUMNS + (
     "motif", "weights", "normalization", "B", "walk_length", "r", "w", "target",
     "mean", "sd", "se", "n_success", "failure_rate",
     "true_total", "true_value_total", "true_ratio",
@@ -492,7 +493,7 @@ def run_motif_total(cfg: CampaignConfig, graph: Graph | None = None) -> list[dic
     probabilities.  True totals come from the brute-force enumeration.
     """
     graph = graph if graph is not None else load_graph(cfg)
-    common = _common_columns(cfg)
+    common = _common_columns(cfg, graph)
     burn = cfg.effective_burn_in()
     occs = enumerate_motifs(graph, cfg.motif, "ones")
     true_total = graph_total(graph, occs)
@@ -544,5 +545,6 @@ def run_campaign(cfg: CampaignConfig, graph: Graph | None = None) -> tuple[list[
     runner, columns = RUNNERS[cfg.experiment]
     rows = runner(cfg, graph)
     if cfg.out:
-        write_csv(rows, columns, cfg.out)
+        with open(cfg.out, "w") as fh:
+            fh.write(render_csv(rows, columns))
     return rows, columns

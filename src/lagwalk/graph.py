@@ -294,19 +294,28 @@ def write_edge_list(g: Graph, path: str) -> None:
 
 def read_edge_list(path: str) -> Graph:
     """Inverse of :func:`write_edge_list`."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise ConfigError(f"cannot read graph file {path}: {exc}") from exc
     if len(lines) < 2 or not lines[0].startswith("N ") or not lines[1].startswith("cases "):
         raise ConfigError(f"{path}: expected 'N <n>' and 'cases <k>' header lines")
-    n = int(lines[0].split()[1])
-    k = int(lines[1].split()[1])
+    (n,) = _int_fields(path, lines[0], skip=1, count=1)
+    (k,) = _int_fields(path, lines[1], skip=1, count=1)
     if not 0 <= k <= n:
         raise ConfigError(f"{path}: cases {k} outside [0, {n}]")
-    edges = []
-    for ln in lines[2:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ConfigError(f"{path}: malformed edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+    edges = [tuple(_int_fields(path, ln, skip=0, count=2)) for ln in lines[2:]]
     values = [1.0] * k + [0.0] * (n - k)
     return Graph(n, edges, values)
+
+
+def _int_fields(path: str, line: str, skip: int, count: int) -> list[int]:
+    """The ``count`` integer fields of ``line`` after ``skip`` leading words."""
+    try:
+        values = [int(f) for f in line.split()[skip:]]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ConfigError(f"{path}: malformed line {line!r}")
+    return values

@@ -14,20 +14,20 @@ With w = 1 the node process is Markov with stationary law proportional to
 d_h + r.  For w < 1 the node process is non-Markovian, but the ordered pair
 (X_{t-1}, X_t) is a Markov chain on N^2 states; its stationary vector puts
 probability proportional to 1 + r/N on adjacent pairs and r/N on the rest,
-which marginalises to (d_h + r)/(2R + rN) for every w.  This module builds
-that pair chain explicitly and solves it both directly and by power
-iteration so the closed forms can be verified numerically.
+which marginalises to (d_h + r)/(2R + rN) for every w.  This module applies
+that pair chain matrix-free, in O(N^2) per step, and solves it by power
+iteration so the closed forms can be verified numerically; the explicit
+matrix is kept as a reference form.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import random
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     ConfigError,
@@ -38,10 +38,15 @@ from .errors import (
 )
 from .graph import Graph
 
+# The method stationary_pair uses, as campaign output names it.
+STATIONARY_SOLVER = "power"
 ITERATION_TOL = 1e-12
 DEFAULT_MAX_ITER = 200_000
-DEFAULT_STATE_CAP = 40_000
-DIRECT_SOLVE_MAX_STATES = 10_000
+# The operator refuses larger pair chains: one float64 pair vector is then
+# 32 MiB, and a power-iteration step keeps about four alive (N = 2048).
+MAX_PAIR_STATES = 2**22
+# The explicit reference matrix stores N^3 entries (N = 200).
+MATRIX_MAX_STATES = 40_000
 
 INIT_MODES = ("stationary", "uniform", "fixed")
 
@@ -161,85 +166,112 @@ def step(g: Graph, cfg: WalkConfig, prev: int, cur: int, rng: random.Random) -> 
 
 
 class PairStateChain:
-    """Markov chain on ordered pairs (X_{t-1}, X_t), states indexed i*N + h."""
+    """Markov chain on ordered pairs (X_{t-1}, X_t), states indexed i*N + h.
 
-    def __init__(self, graph: Graph, cfg: WalkConfig, matrix: sp.csr_matrix):
+    The chain is applied matrix-free.  For a current node h of degree d, the
+    successor law needs only three numbers of a pair distribution pi: the
+    column mass m_h = sum_i pi(i, h), the mass s_h arriving from adjacent
+    predecessors, and pi(j, h) for the backtracking move j = i.  One step
+    is then O(N^2) with no stored transition matrix (see :meth:`step`).
+    """
+
+    def __init__(self, graph: Graph, cfg: WalkConfig):
         self.graph = graph
         self.cfg = cfg
-        self.matrix = matrix
         self.n_nodes = graph.n
         self.n_states = graph.n * graph.n
-        self._transposed: sp.csr_matrix | None = None
+        n, r, w = graph.n, cfg.r, cfg.w
+        degs = np.asarray(graph.degrees, dtype=float)
+        self._adj = graph.adjacency_matrix().astype(float)
+        self._jump = r / ((degs + r) * n)
+        # Move coefficients per current node: the weight of a neighbour after
+        # a non-adjacent predecessor, after an adjacent one (for the other
+        # neighbours), and the extra weight of backtracking to that one.  At
+        # degree 1 the predecessor does not matter.  An isolated node has no
+        # moves, so its coefficients only need to be finite: degree 1 stands
+        # in for 0, as 1/r overflows for subnormal r.
+        d = np.maximum(degs, 1.0)
+        denom = d + r
+        self._plain = 1.0 / denom
+        branching = d > 1
+        self._after = np.where(branching, (d - w) / (denom * np.maximum(d - 1, 1)), self._plain)
+        self._back_gain = np.where(branching, w / denom, self._plain) - self._after
 
     def pair_index(self, prev: int, cur: int) -> int:
         return prev * self.n_nodes + cur
 
-    def transposed(self) -> sp.csr_matrix:
-        if self._transposed is None:
-            self._transposed = self.matrix.transpose().tocsr()
-        return self._transposed
+    def step(self, pair_dist: np.ndarray) -> np.ndarray:
+        """One step of a pair distribution: the vector pi P, without P.
+
+        Q(h, j) = m_h r/((d+r)N) + a_hj [(m_h - s_h)/(d+r)
+                  + s_h (d-w)/((d+r)(d-1)) + pi(j, h) (w/(d+r) - (d-w)/((d+r)(d-1)))]
+        for d > 1; for d <= 1 the bracket is m_h/(d+r).
+        """
+        pair = pair_dist.reshape(self.n_nodes, self.n_nodes)
+        mass = pair.sum(axis=0)
+        adjacent = np.einsum("ih,ih->h", self._adj, pair)
+        move = (mass - adjacent) * self._plain + adjacent * self._after
+        nxt = np.multiply(pair.T, self._back_gain[:, None], order="C")
+        nxt += move[:, None]
+        nxt *= self._adj
+        nxt += (self._jump * mass)[:, None]
+        return nxt.ravel()
+
+    @functools.cached_property
+    def matrix(self):
+        """Explicit N^2 x N^2 row-stochastic matrix in CSR form.
+
+        A reference form for tests and diagnostics; no solver uses it.  Row
+        (i, h) holds p(j | h, i) in column (h, j), taken from
+        :func:`transition_row`.  It stores N^3 entries, so it is built on
+        first access and refused above ``MATRIX_MAX_STATES`` states.
+        """
+        if self.n_states > MATRIX_MAX_STATES:
+            raise StateSpaceError(
+                f"explicit pair matrix on {self.n_states} states exceeds cap {MATRIX_MAX_STATES}"
+            )
+        import scipy.sparse as sp
+
+        n = self.n_nodes
+        data = np.empty((self.n_states, n))
+        for i in range(n):
+            for h in range(n):
+                data[i * n + h] = transition_row(self.graph, self.cfg, i, h)
+        h_of_row = np.arange(self.n_states, dtype=np.int64) % n
+        indices = (h_of_row[:, None] * n + np.arange(n, dtype=np.int64)).ravel()
+        indptr = np.arange(self.n_states + 1, dtype=np.int64) * n
+        return sp.csr_matrix((data.ravel(), indices, indptr),
+                             shape=(self.n_states, self.n_states))
 
     def node_marginal(self, pair_dist: np.ndarray) -> np.ndarray:
         """Marginal of the current (second) coordinate."""
         return pair_dist.reshape(self.n_nodes, self.n_nodes).sum(axis=0)
 
 
-def build_pair_chain(g: Graph, cfg: WalkConfig, max_states: int = DEFAULT_STATE_CAP) -> PairStateChain:
-    """Assemble the N^2 x N^2 row-stochastic pair-transition operator.
-
-    Entry ((i, h), (h', j)) is p(j | h, i) when h' == h and 0 otherwise; only
-    the N reachable successors per state are stored.
-    """
+def build_pair_chain(g: Graph, cfg: WalkConfig) -> PairStateChain:
+    """Pair chain of the walk on ``g``, ready to step (see :class:`PairStateChain`)."""
     if cfg.r <= 0:
         raise NonErgodicError("pair chain needs r > 0 for irreducibility")
-    n = g.n
-    n_states = n * n
-    if n_states > max_states:
-        raise StateSpaceError(
-            f"pair state space {n_states} exceeds cap {max_states}; raise max_states to override"
-        )
-    adj = g.adjacency_matrix().astype(float)
-    degs = np.asarray(g.degrees, dtype=float)
-    r, w = cfg.r, cfg.w
-    # rows[i, h, :] is the successor distribution over j for pair state (i, h)
-    rows = np.empty((n, n, n))
-    for h in range(n):
-        d = degs[h]
-        a = adj[h]
-        base = (r / (d + r)) / n
-        rows[:, h, :] = base + a / (d + r)
-        if d > 1:
-            prevs = np.nonzero(a)[0]
-            rows[prevs, h, :] = base + a * ((d - w) / ((d + r) * (d - 1)))
-            rows[prevs, h, prevs] = base + w / (d + r)
-    data = rows.reshape(n_states, n)
-    h_of_row = np.arange(n_states, dtype=np.int64) % n
-    indices = (h_of_row[:, None] * n + np.arange(n, dtype=np.int64)).ravel()
-    indptr = np.arange(n_states + 1, dtype=np.int64) * n
-    matrix = sp.csr_matrix((data.ravel(), indices, indptr), shape=(n_states, n_states))
-    return PairStateChain(g, cfg, matrix)
+    n_states = g.n * g.n
+    if n_states > MAX_PAIR_STATES:
+        raise StateSpaceError(f"pair state space {n_states} exceeds cap {MAX_PAIR_STATES}")
+    return PairStateChain(g, cfg)
 
 
-def _stationary_direct(chain: PairStateChain) -> np.ndarray:
-    # Balance equations transposed, with the state-0 equation replaced by the
-    # normalisation constraint.
-    n = chain.n_states
-    a = (chain.matrix.transpose() - sp.identity(n, format="csr")).tocsr()
-    ones = sp.csr_matrix(np.ones((1, n)))
-    system = sp.vstack([ones, a[1:, :]]).tocsc()
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    pi = spla.spsolve(system, rhs)
-    pi = np.maximum(pi, 0.0)
-    return pi / pi.sum()
+def stationary_pair(
+    chain: PairStateChain,
+    tol: float = ITERATION_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> np.ndarray:
+    """Unique stationary vector of the pair chain (length N^2, sums to 1).
 
-
-def _stationary_power(chain: PairStateChain, tol: float, max_iter: int) -> np.ndarray:
-    pt = chain.transposed()
+    Power iteration from the uniform pair law, until the max-norm change
+    between successive iterates falls below ``tol``.
+    """
     pi = np.full(chain.n_states, 1.0 / chain.n_states)
     delta = np.inf
     for _ in range(max_iter):
-        nxt = pt.dot(pi)
+        nxt = chain.step(pi)
         delta = float(np.max(np.abs(nxt - pi)))
         pi = nxt
         if delta < tol:
@@ -249,27 +281,6 @@ def _stationary_power(chain: PairStateChain, tol: float, max_iter: int) -> np.nd
         residual=delta,
         iterations=max_iter,
     )
-
-
-def stationary_pair(
-    chain: PairStateChain,
-    method: str = "auto",
-    tol: float = ITERATION_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
-    """Unique stationary vector of the pair chain (length N^2, sums to 1).
-
-    ``method`` is "direct" (sparse linear solve), "power" (iteration to a
-    max-norm tolerance between iterates) or "auto" (direct up to
-    ``DIRECT_SOLVE_MAX_STATES`` states, power above).
-    """
-    if method == "auto":
-        method = "direct" if chain.n_states <= DIRECT_SOLVE_MAX_STATES else "power"
-    if method == "direct":
-        return _stationary_direct(chain)
-    if method == "power":
-        return _stationary_power(chain, tol, max_iter)
-    raise ConfigError(f"unknown stationary method {method!r}")
 
 
 def stationary_node(g: Graph, cfg: WalkConfig) -> np.ndarray:
@@ -304,11 +315,10 @@ def marginal_at_t(
         return init.copy()
     if chain is None:
         chain = build_pair_chain(g, cfg)
-    pt = chain.transposed()
     pair = np.zeros(chain.n_states)
     pair[np.arange(g.n) * g.n + np.arange(g.n)] = init
     for _ in range(t):
-        pair = pt.dot(pair)
+        pair = chain.step(pair)
     return chain.node_marginal(pair)
 
 

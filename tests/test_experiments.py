@@ -1,5 +1,8 @@
 """Campaign runners, CSV output, substream seeding, CLI and exit codes."""
 
+import csv
+import io
+
 import pytest
 
 from lagwalk import CampaignConfig, ConfigError, Graph, write_edge_list
@@ -263,6 +266,35 @@ class TestCli:
         )
         assert code == EXIT_OK
         assert str(gpath) in out.read_text()
+
+    @pytest.mark.parametrize("text", [
+        "N 5\ncases 1\n0 x\n",
+        "N abc\ncases 1\n",
+        "N 5\ncases 1.5\n",
+        "N 5\ncases 1\n0 1 2\n",
+    ])
+    def test_malformed_edge_list_exits_2(self, tmp_path, capsys, text):
+        gpath = tmp_path / "bad.edges"
+        gpath.write_text(text)
+        assert self.run("stationary-check", "--graph", str(gpath)) == EXIT_CONFIG
+        assert "malformed" in capsys.readouterr().err
+
+    def test_missing_graph_file_exits_2(self, tmp_path):
+        assert self.run("stationary-check", "--graph", str(tmp_path / "none.edges")) == EXIT_CONFIG
+
+    def test_loaded_graph_provenance(self, tmp_path):
+        gpath = tmp_path / "small.edges"
+        write_edge_list(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [1.0, 1.0, 0.0, 0.0, 0.0]),
+                        str(gpath))
+        out = tmp_path / "out.csv"
+        code = self.run("stationary-check", "--graph", str(gpath), "--r", "1", "--w", "0.5",
+                        "--out", str(out))
+        assert code == EXIT_OK
+        (row,) = csv.DictReader(io.StringIO(out.read_text()))
+        assert (row["n_nodes"], row["n_cases"]) == ("5", "2")
+        for col in ("p_case_case", "p_case_noncase", "p_noncase_noncase", "graph_seed"):
+            assert row[col] == ""
+        assert row["solver"] == "power"
 
     def test_config_file_and_override(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"

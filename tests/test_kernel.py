@@ -1,10 +1,15 @@
 """Transition law, pair chain, stationary solvers and sequence probabilities."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagwalk import (
     ConfigError,
@@ -24,8 +29,9 @@ from lagwalk import (
     transition_prob,
     transition_row,
 )
+from lagwalk import kernel
 from lagwalk.kernel import make_stepper, sample_initial_state
-from helpers import cycle_graph, random_graph
+from helpers import cycle_graph, path_graph, random_graph
 
 GRID = [(0.1, 0.0), (0.1, 0.5), (0.1, 1.0), (1.0, 0.0), (1.0, 0.5), (1.0, 1.0),
         (6.0, 0.0), (6.0, 0.5), (6.0, 1.0)]
@@ -184,13 +190,45 @@ class TestPairChain:
                     frontier.append(int(t))
         assert len(reach) == n_states
 
+    def test_package_import_loads_no_scipy(self):
+        # scipy is needed only for the explicit reference matrix.
+        src = os.path.dirname(os.path.dirname(kernel.__file__))
+        code = "import sys, lagwalk; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
+
     def test_requires_positive_jump_rate(self, path5):
         with pytest.raises(NonErgodicError):
             build_pair_chain(path5, WalkConfig(r=0.0))
 
-    def test_state_space_cap(self, path5):
+    def test_state_space_cap(self, path5, monkeypatch):
+        chain = build_pair_chain(path_graph(201), WalkConfig(r=1.0))
+        assert chain.n_states > kernel.MATRIX_MAX_STATES
         with pytest.raises(StateSpaceError):
-            build_pair_chain(path5, WalkConfig(r=1.0), max_states=10)
+            chain.matrix
+        monkeypatch.setattr(kernel, "MAX_PAIR_STATES", 24)
+        with pytest.raises(StateSpaceError):
+            build_pair_chain(path5, WalkConfig(r=1.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_core=st.integers(1, 7),
+        edge_bits=st.integers(0, 2**21 - 1),
+        r=st.floats(0.0, 10.0, exclude_min=True),
+        w=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_matches_explicit_matrix(self, n_core, edge_bits, r, w, seed):
+        # A random graph on the core nodes, plus a pendant (degree 1) node
+        # hanging off node 0 and an isolated node.
+        pairs = list(itertools.combinations(range(n_core), 2))
+        edges = [pair for k, pair in enumerate(pairs) if edge_bits >> k & 1]
+        g = Graph(n_core + 2, edges + [(0, n_core)])
+        chain = build_pair_chain(g, WalkConfig(r=r, w=w))
+        x = np.random.default_rng(seed).random(chain.n_states)
+        x /= x.sum()
+        assert np.abs(chain.step(x) - chain.matrix.T @ x).max() < 1e-15
 
 
 class TestStationary:
@@ -226,23 +264,24 @@ class TestStationary:
         marginal = chain.node_marginal(stationary_pair(chain))
         assert np.allclose(marginal, np.array([2, 3, 3, 3, 2]) / 13, atol=1e-10)
 
-    def test_direct_and_power_agree(self, path5):
-        chain = build_pair_chain(path5, WalkConfig(r=0.5, w=0.2))
-        direct = stationary_pair(chain, method="direct")
-        power = stationary_pair(chain, method="power")
-        assert np.abs(direct - power).max() < 1e-10
+    @pytest.mark.parametrize("r,w", [(0.5, 0.2), (0.1, 0.0), (6.0, 1.0)])
+    def test_power_matches_dense_solve(self, r, w):
+        g = random_graph(9, 0.35, seed=21, n_isolated=1)
+        chain = build_pair_chain(g, WalkConfig(r=r, w=w))
+        # Balance equations pi (P - I) = 0, one replaced by sum(pi) = 1.
+        system = chain.matrix.toarray().T - np.eye(chain.n_states)
+        system[0] = 1.0
+        rhs = np.zeros(chain.n_states)
+        rhs[0] = 1.0
+        dense = np.linalg.solve(system, rhs)
+        assert np.abs(stationary_pair(chain) - dense).max() < 1e-10
 
     def test_power_iteration_cap_reports_diagnostics(self, path5):
         chain = build_pair_chain(path5, WalkConfig(r=0.5, w=0.2))
         with pytest.raises(ConvergenceError) as err:
-            stationary_pair(chain, method="power", max_iter=2)
+            stationary_pair(chain, max_iter=2)
         assert err.value.iterations == 2
         assert err.value.residual > 0
-
-    def test_unknown_method(self, path5):
-        chain = build_pair_chain(path5, WalkConfig(r=0.5))
-        with pytest.raises(ConfigError):
-            stationary_pair(chain, method="bogus")
 
     def test_closed_form_node_law(self):
         k_regular = cycle_graph(6)
