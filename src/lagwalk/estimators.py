@@ -16,6 +16,7 @@ they need no size estimate.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,11 +33,13 @@ from .errors import (
 from .graph import MotifKind
 from .kernel import WalkConfig, sequence_prob
 from .sampling import (
+    MULTIPLICITY,
     OBSERVATION_ORDER,
+    WEIGHT_SCHEMES,
     MotifObservation,
     WalkTrace,
+    _ppw_weights,
     detect_observations,
-    incidence_weights,
 )
 
 
@@ -177,6 +180,60 @@ def estimate_size_grcr(stat: CollisionStat, d_bar_w: float, r: float) -> SizeEst
     return SizeEstimate("grcr", r_hat, n_hat=n_hat, d_bar_w=d_bar_w, negative=r_hat < 0)
 
 
+def _weight(provider, obs: MotifObservation, scheme: str, prob, ppw_fallback: bool) -> float:
+    """Incidence weight of the observation's own window."""
+    if scheme == "ppw":
+        try:
+            return _ppw_weights(provider, obs, prob)[obs.sequence]
+        except Es3CoverageError:
+            if not ppw_fallback:
+                raise
+    elif scheme != "multiplicity":
+        raise ConfigError(f"unknown weight scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
+    return 1.0 / MULTIPLICITY[obs.occurrence.kind]
+
+
+def _weighted(observations, provider, scheme: str, prob, ppw_fallback: bool):
+    """(observation, incidence weight) pairs of one window, computed lazily."""
+    window = observations[0].sequence
+    for obs in observations:
+        if obs.sequence != window:
+            raise ConfigError("estimate_total_window expects observations from one window")
+        yield obs, _weight(provider, obs, scheme, prob, ppw_fallback)
+
+
+def _window_pass(observations_by_window, provider, cfg: WalkConfig, scheme: str,
+                 ppw_fallback: bool, size: float | None = None, size_is_estimate: bool = False):
+    """The window probability and weighted observations of every window.
+
+    Yields ``(pi, pairs)`` per window, where ``pairs`` lazily gives each
+    observation with its incidence weight; an empty window yields
+    ``(None, ())``.  Window probabilities are normalised by ``size`` if one
+    is given.  Sequence probabilities are memoised for the pass only, so a
+    sequence shared by several windows or occurrences is evaluated once;
+    ppw weights and unnormalised window probabilities share one memo.
+    """
+    prob = functools.cache(lambda seq: sequence_prob(provider, cfg, seq).value)
+    # A normalised probability is not the memoised value divided by the
+    # constant: sequence_prob divides before it multiplies, and the two
+    # orders round differently.
+    window_prob = prob if size is None else functools.cache(lambda seq: sequence_prob(
+        provider, cfg, seq, size=size, size_is_estimate=size_is_estimate).value)
+    for observations in observations_by_window:
+        if not observations:
+            yield None, ()
+            continue
+        pi = window_prob(observations[0].sequence)
+        yield pi, _weighted(observations, provider, scheme, prob, ppw_fallback)
+
+
+def _window_value(pi: float, pairs) -> float:
+    theta = 0.0
+    for obs, w in pairs:
+        theta += w * obs.occurrence.value / pi
+    return theta
+
+
 def estimate_total_window(
     observations: Sequence[MotifObservation],
     provider,
@@ -196,22 +253,11 @@ def estimate_total_window(
     occurrences whose equivalent sequences are not fully covered by the seed
     sample fall back to multiplicity weights instead of raising.
     """
-    if not observations:
+    ((pi, pairs),) = _window_pass([observations], provider, cfg, scheme, ppw_fallback,
+                                  size, size_is_estimate)
+    if pi is None:
         return 0.0, 0
-    window = observations[0].sequence
-    pi = sequence_prob(provider, cfg, window, size=size, size_is_estimate=size_is_estimate).value
-    theta = 0.0
-    for obs in observations:
-        if obs.sequence != window:
-            raise ConfigError("estimate_total_window expects observations from one window")
-        try:
-            weights = incidence_weights(provider, cfg, obs, scheme)
-        except Es3CoverageError:
-            if not ppw_fallback:
-                raise
-            weights = incidence_weights(provider, cfg, obs, "multiplicity")
-        theta += weights[obs.sequence] * obs.occurrence.value / pi
-    return theta, 1
+    return _window_value(pi, pairs), 1
 
 
 def _group_by_window(
@@ -252,12 +298,11 @@ def estimate_total(
     """
     values: list[float] = []
     flags: list[int] = []
-    for obs_list in _group_by_window(trace, provider, kind, value_mode):
-        theta_t, ind = estimate_total_window(
-            obs_list, provider, cfg, scheme, size, size_is_estimate, ppw_fallback
-        )
-        values.append(theta_t)
-        flags.append(ind)
+    grouped = _group_by_window(trace, provider, kind, value_mode)
+    for pi, pairs in _window_pass(grouped, provider, cfg, scheme, ppw_fallback,
+                                  size, size_is_estimate):
+        values.append(0.0 if pi is None else _window_value(pi, pairs))
+        flags.append(0 if pi is None else 1)
     if sum(flags) == 0:
         raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
     theta = sum(values) / len(values)
@@ -293,20 +338,11 @@ def estimate_ratio(
         num = 0.0
         den = 0.0
         informative = 0
-        for obs_list in grouped:
-            if not obs_list:
+        for pi, pairs in _window_pass(grouped, provider, cfg, scheme, ppw_fallback):
+            if pi is None:
                 continue
             informative += 1
-            window = obs_list[0].sequence
-            pi = sequence_prob(provider, cfg, window).value
-            for obs in obs_list:
-                try:
-                    weights = incidence_weights(provider, cfg, obs, scheme)
-                except Es3CoverageError:
-                    if not ppw_fallback:
-                        raise
-                    weights = incidence_weights(provider, cfg, obs, "multiplicity")
-                w = weights[obs.sequence]
+            for obs, w in pairs:
                 num += w * _mode_value(obs, numerator_values) / pi
                 den += w * _mode_value(obs, denominator_values) / pi
         if informative == 0:
@@ -344,44 +380,3 @@ def replicate_summary(values: Sequence[float]) -> ReplicateSummary:
     sd = float(vals.std(ddof=1))
     return ReplicateSummary(int(vals.size), mean, sd, sd / float(np.sqrt(vals.size)))
 
-
-# One row per estimate in campaign exports.
-REPORT_COLUMNS = (
-    "estimator",
-    "motif",
-    "weights",
-    "normalization",
-    "r",
-    "w",
-    "length",
-    "replicate",
-    "value",
-    "flags",
-)
-
-
-def report_row(
-    estimator: str,
-    motif: str,
-    weights: str,
-    normalization: str,
-    r: float,
-    w: float,
-    length: int,
-    replicate: int,
-    value: float,
-    flags: str = "",
-) -> dict:
-    """Serialisable record of a single estimate, keyed by REPORT_COLUMNS."""
-    return {
-        "estimator": estimator,
-        "motif": motif,
-        "weights": weights,
-        "normalization": normalization,
-        "r": r,
-        "w": w,
-        "length": length,
-        "replicate": replicate,
-        "value": value,
-        "flags": flags,
-    }

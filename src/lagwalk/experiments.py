@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import os
 import random
 from dataclasses import dataclass, replace
 
@@ -98,6 +99,11 @@ class CampaignConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
         if self.replicates < 1 or self.replicates_ratio < 1:
             raise ConfigError("replicates must be >= 1")
+        # Every campaign but the stationary check reports an SD over replicates.
+        if self.experiment != "stationary-check" and self.replicates < 2:
+            raise ConfigError(f"{self.experiment} reports an SD and needs replicates >= 2")
+        if self.experiment == "motif-total" and self.replicates_ratio < 2:
+            raise ConfigError("motif-total reports an SD and needs replicates_ratio >= 2")
         if not self.r_values or not self.w_values or not self.lengths:
             raise ConfigError("r, w and length grids must be nonempty")
         if self.jobs < 1:
@@ -540,11 +546,31 @@ RUNNERS = {
 }
 
 
+def _check_out_path(path: str) -> None:
+    """Refuse an output path that cannot be written, without touching it."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory")
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {path}: directory {parent} does not exist")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {path}: directory {parent} is not writable")
+
+
 def run_campaign(cfg: CampaignConfig, graph: Graph | None = None) -> tuple[list[dict], tuple[str, ...]]:
-    """Dispatch to the experiment runner; returns (rows, column order)."""
+    """Dispatch to the experiment runner; returns (rows, column order).
+
+    An ``out`` path is checked before the campaign starts and written once
+    it has finished.
+    """
+    if cfg.out:
+        _check_out_path(cfg.out)
     runner, columns = RUNNERS[cfg.experiment]
     rows = runner(cfg, graph)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(render_csv(rows, columns))
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(render_csv(rows, columns))
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {cfg.out}: {exc}") from exc
     return rows, columns

@@ -109,10 +109,6 @@ class Graph:
         self._matrix: np.ndarray | None = None
 
     @property
-    def node_count(self) -> int:
-        return self.n
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 
@@ -198,14 +194,18 @@ def default_case_graph() -> Graph:
     )
 
 
-def motif_value(g: Graph, nodes: Iterable[int], mode: str = "product") -> float:
-    """Value attached to an occurrence: product of node values, or 1."""
+def motif_value(provider, nodes: Iterable[int], mode: str = "product") -> float:
+    """Value attached to an occurrence: product of node values, or 1.
+
+    ``provider`` is a :class:`Graph` or any view with ``value(v)``, such as
+    the audited sample graph.
+    """
     if mode == "ones":
         return 1.0
     if mode == "product":
         v = 1.0
         for i in nodes:
-            v *= g.values[i]
+            v *= provider.value(i)
         return v
     raise ConfigError(f"unknown value mode {mode!r}")
 

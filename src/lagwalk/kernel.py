@@ -160,11 +160,6 @@ def make_stepper(g: Graph, cfg: WalkConfig):
     return next_state
 
 
-def step(g: Graph, cfg: WalkConfig, prev: int, cur: int, rng: random.Random) -> int:
-    """Draw one transition from (prev, cur).  See :func:`make_stepper`."""
-    return make_stepper(g, cfg)(prev, cur, rng)
-
-
 class PairStateChain:
     """Markov chain on ordered pairs (X_{t-1}, X_t), states indexed i*N + h.
 

@@ -47,6 +47,17 @@ OBSERVATION_ORDER = {
     MotifKind.THREE_PATH: 2,
 }
 
+# Number of equivalent sequences of an occurrence of each kind; a
+# multiplicity weight is one over it.
+MULTIPLICITY = {
+    MotifKind.NODE: 1,
+    MotifKind.EDGE: 2,
+    MotifKind.TWO_STAR: 1,
+    MotifKind.TRIANGLE: 6,
+    MotifKind.FOUR_CYCLE: 8,
+    MotifKind.THREE_PATH: 4,
+}
+
 WEIGHT_SCHEMES = ("multiplicity", "ppw")
 
 
@@ -113,10 +124,6 @@ class SampleGraph:
         self.seed = seed
         self._nbrs = neighborhoods
         self._values = values
-
-    @property
-    def node_count(self) -> int:
-        return self.n
 
     @property
     def observed_nodes(self) -> frozenset[int]:
@@ -255,22 +262,9 @@ def detect_observations(
                 center, nodes = key
             else:
                 center, nodes = None, key
-            occ = MotifOccurrence(kind, nodes, _observed_value(provider, nodes, value_mode), center)
+            occ = MotifOccurrence(kind, nodes, motif_value(provider, nodes, value_mode), center)
             out.append(MotifObservation(occ, window, t))
     return out
-
-
-def _observed_value(provider, nodes: frozenset[int], mode: str) -> float:
-    if isinstance(provider, Graph):
-        return motif_value(provider, nodes, mode)
-    if mode == "ones":
-        return 1.0
-    if mode == "product":
-        v = 1.0
-        for i in nodes:
-            v *= provider.value(i)
-        return v
-    raise ConfigError(f"unknown value mode {mode!r}")
 
 
 def equivalent_sequences(provider, obs: MotifObservation) -> tuple[tuple[int, ...], ...]:
@@ -341,21 +335,30 @@ def incidence_weights(
     observed sample; otherwise :class:`Es3CoverageError` is raised so the
     caller can fall back to multiplicity weights.
     """
-    seqs = equivalent_sequences(provider, obs)
     if scheme == "multiplicity":
+        seqs = equivalent_sequences(provider, obs)
         u = 1.0 / len(seqs)
         return {s: u for s in seqs}
     if scheme == "ppw":
-        try:
-            probs = {s: sequence_prob(provider, cfg, s).value for s in seqs}
-        except UnobservedEntryError as exc:
-            raise Es3CoverageError(
-                f"ppw needs every equivalent sequence of {set(obs.occurrence.nodes)} "
-                f"inside the seed sample: {exc}"
-            ) from exc
-        total = sum(probs.values())
-        return {s: p / total for s, p in probs.items()}
+        return _ppw_weights(provider, obs, lambda s: sequence_prob(provider, cfg, s).value)
     raise ConfigError(f"unknown weight scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
+
+
+def _ppw_weights(provider, obs: MotifObservation, prob) -> dict[tuple[int, ...], float]:
+    """PPW weights from ``prob``, the unnormalised probability of a sequence.
+
+    The normaliser is summed in :func:`equivalent_sequences` order.
+    """
+    seqs = equivalent_sequences(provider, obs)
+    try:
+        probs = {s: prob(s) for s in seqs}
+    except UnobservedEntryError as exc:
+        raise Es3CoverageError(
+            f"ppw needs every equivalent sequence of {set(obs.occurrence.nodes)} "
+            f"inside the seed sample: {exc}"
+        ) from exc
+    total = sum(probs.values())
+    return {s: p / total for s, p in probs.items()}
 
 
 def write_trace_csv(trace: WalkTrace, path: str) -> None:

@@ -7,7 +7,17 @@ import random
 
 import numpy as np
 
-from lagwalk import Graph
+from lagwalk import (
+    ConfigError,
+    Es3CoverageError,
+    EstimationError,
+    Graph,
+    NoObservationsError,
+    TotalEstimate,
+    UnobservedEntryError,
+    sequence_prob,
+)
+from lagwalk.sampling import OBSERVATION_ORDER, detect_observations, equivalent_sequences
 
 
 def path_graph(n: int, values=None) -> Graph:
@@ -145,3 +155,100 @@ def brute_force_total(g: Graph, kind: str, value_mode: str = "ones") -> float:
     else:
         raise ValueError(kind)
     return total
+
+
+# Reference window estimators: the per-observation loop written out plainly,
+# with the weights recomputed for every observation and no memo.  The
+# estimators must reproduce these values bit for bit.
+
+def reference_weights(provider, cfg, obs, scheme):
+    seqs = equivalent_sequences(provider, obs)
+    if scheme == "multiplicity":
+        u = 1.0 / len(seqs)
+        return {s: u for s in seqs}
+    if scheme == "ppw":
+        try:
+            probs = {s: sequence_prob(provider, cfg, s).value for s in seqs}
+        except UnobservedEntryError as exc:
+            raise Es3CoverageError(
+                f"ppw needs every equivalent sequence of {set(obs.occurrence.nodes)} "
+                f"inside the seed sample: {exc}"
+            ) from exc
+        total = sum(probs.values())
+        return {s: p / total for s, p in probs.items()}
+    raise ConfigError(f"unknown weight scheme {scheme!r}")
+
+
+def _reference_weight(provider, cfg, obs, scheme, ppw_fallback):
+    try:
+        weights = reference_weights(provider, cfg, obs, scheme)
+    except Es3CoverageError:
+        if not ppw_fallback:
+            raise
+        weights = reference_weights(provider, cfg, obs, "multiplicity")
+    return weights[obs.sequence]
+
+
+def reference_total_window(observations, provider, cfg, scheme="multiplicity", size=None,
+                           size_is_estimate=False, ppw_fallback=False):
+    if not observations:
+        return 0.0, 0
+    window = observations[0].sequence
+    pi = sequence_prob(provider, cfg, window, size=size, size_is_estimate=size_is_estimate).value
+    theta = 0.0
+    for obs in observations:
+        if obs.sequence != window:
+            raise ConfigError("estimate_total_window expects observations from one window")
+        theta += _reference_weight(provider, cfg, obs, scheme, ppw_fallback) * obs.occurrence.value / pi
+    return theta, 1
+
+
+def reference_windows(trace, provider, kind, value_mode):
+    q = OBSERVATION_ORDER[kind]
+    n_windows = len(trace.states) - q
+    if n_windows <= 0:
+        raise NoObservationsError(f"trace of length {len(trace.states)} has no window of order {q}")
+    grouped = [[] for _ in range(n_windows)]
+    for obs in detect_observations(trace, provider, kind, value_mode):
+        grouped[obs.t].append(obs)
+    return grouped
+
+
+def reference_total(trace, provider, cfg, kind, scheme="multiplicity", value_mode="product",
+                    size=None, size_is_estimate=False, ppw_fallback=False):
+    values, flags = [], []
+    for obs_list in reference_windows(trace, provider, kind, value_mode):
+        theta_t, ind = reference_total_window(obs_list, provider, cfg, scheme, size,
+                                              size_is_estimate, ppw_fallback)
+        values.append(theta_t)
+        flags.append(ind)
+    if sum(flags) == 0:
+        raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
+    if size is None:
+        norm = "unnormalized"
+    else:
+        norm = "estimated" if size_is_estimate else "exact"
+    return TotalEstimate(sum(values) / len(values), tuple(values), tuple(flags), kind, scheme, norm)
+
+
+def reference_ratio(trace, provider, cfg, kind, numerator_values="product",
+                    denominator_values="ones", scheme="multiplicity", ppw_fallback=False):
+    """Single-kind ratio: num and den accumulate one observation at a time."""
+    mode_value = {"ones": lambda obs: 1.0, "product": lambda obs: obs.occurrence.value}
+    detect_mode = "product" if "product" in (numerator_values, denominator_values) else "ones"
+    num = den = 0.0
+    informative = 0
+    for obs_list in reference_windows(trace, provider, kind, detect_mode):
+        if not obs_list:
+            continue
+        informative += 1
+        pi = sequence_prob(provider, cfg, obs_list[0].sequence).value
+        for obs in obs_list:
+            w = _reference_weight(provider, cfg, obs, scheme, ppw_fallback)
+            num += w * mode_value[numerator_values](obs) / pi
+            den += w * mode_value[denominator_values](obs) / pi
+    if informative == 0:
+        raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
+    if den == 0.0:
+        raise EstimationError("denominator estimate is zero")
+    return num / den

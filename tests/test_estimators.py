@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagwalk import (
     ConfigError,
@@ -27,10 +29,24 @@ from lagwalk import (
     run_walk,
     weighted_mean_degree,
 )
-from lagwalk import enumerate_motifs
-from lagwalk.estimators import REPORT_COLUMNS, report_row
-from lagwalk.sampling import detect_observations
-from helpers import cycle_graph, path_graph, random_graph
+from lagwalk import LagwalkError, enumerate_motifs
+from lagwalk.sampling import (
+    MULTIPLICITY,
+    MotifObservation,
+    detect_observations,
+    equivalent_sequences,
+    incidence_weights,
+)
+from helpers import (
+    cycle_graph,
+    figure_walk_graph,
+    path_graph,
+    random_graph,
+    reference_ratio,
+    reference_total,
+    reference_total_window,
+    reference_weights,
+)
 
 
 def make_trace(states, g, r=1.0, w=1.0):
@@ -340,6 +356,74 @@ class TestRatioEstimator:
             estimate_ratio(trace, path5, cfg, MotifKind.TRIANGLE, "ones", "ones")
 
 
+def _outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except LagwalkError as exc:
+        return type(exc), str(exc)
+
+
+class TestWindowPass:
+    """The one window pass reproduces the plain per-observation loop exactly."""
+
+    @pytest.mark.parametrize("scheme", ["multiplicity", "ppw"])
+    @pytest.mark.parametrize("kind", list(MotifKind))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        n=st.integers(4, 12),
+        density=st.floats(0.3, 0.9),
+        ppw_fallback=st.booleans(),
+        size=st.one_of(st.none(), st.floats(1.0, 60.0)),
+        size_is_estimate=st.booleans(),
+        audited=st.booleans(),
+        r=st.floats(0.05, 2.0),
+        w=st.floats(0.0, 1.0),
+        length=st.integers(2, 14),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_exactly(self, data, n, density, kind, scheme, ppw_fallback,
+                                       size, size_is_estimate, audited, r, w, length, seed):
+        values = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
+        g = random_graph(n, density, seed, values=values)
+        cfg = WalkConfig(r=r, w=w, walk_length=length, init="uniform")
+        trace = run_walk(g, cfg, random.Random(seed))
+        provider = build_sample_graph(g, trace) if audited else g
+        modes = data.draw(st.sampled_from([("product", "ones"), ("ones", "ones"),
+                                           ("product", "product")]))
+
+        expected = _outcome(reference_total, trace, provider, cfg, kind, scheme, "product",
+                            size, size_is_estimate, ppw_fallback)
+        got = _outcome(estimate_total, trace, provider, cfg, kind, scheme, "product",
+                       size, size_is_estimate, ppw_fallback)
+        assert got == expected
+        expected = _outcome(reference_ratio, trace, provider, cfg, kind, *modes, scheme,
+                            ppw_fallback)
+        got = _outcome(estimate_ratio, trace, provider, cfg, kind, *modes, scheme,
+                       ppw_fallback=ppw_fallback)
+        assert got == expected
+        windows: dict[int, list] = {}
+        for obs in detect_observations(trace, provider, kind):
+            windows.setdefault(obs.t, []).append(obs)
+        for obs_list in [[], *windows.values()]:
+            args = (obs_list, provider, cfg, scheme, size, size_is_estimate, ppw_fallback)
+            assert _outcome(estimate_total_window, *args) == _outcome(reference_total_window, *args)
+        for obs_list in windows.values():
+            for obs in obs_list:
+                assert (_outcome(incidence_weights, provider, cfg, obs, scheme)
+                        == _outcome(reference_weights, provider, cfg, obs, scheme))
+
+    @pytest.mark.parametrize("kind", list(MotifKind))
+    def test_multiplicity_counts(self, kind):
+        g = figure_walk_graph()
+        occurrences = enumerate_motifs(g, kind, "ones")
+        assert occurrences
+        for occ in occurrences:
+            obs = MotifObservation(occ, (), 0)
+            assert len(equivalent_sequences(g, obs)) == MULTIPLICITY[kind]
+
+
 class TestReplicateSummary:
     def test_constant(self):
         s = replicate_summary([1.0, 1.0, 1.0])
@@ -363,10 +447,3 @@ class TestReplicateSummary:
         assert s.sd == pytest.approx(vals.std(ddof=1))
         assert s.se == pytest.approx(vals.std(ddof=1) / np.sqrt(500))
 
-
-class TestReportRows:
-    def test_row_matches_columns(self):
-        row = report_row("gr", "edge", "multiplicity", "exact", 0.1, 1.0, 50, 3, 299.5)
-        assert tuple(row) == REPORT_COLUMNS
-        assert row["value"] == 299.5
-        assert row["flags"] == ""

@@ -207,6 +207,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_cfg(replicates=0)
 
+    @pytest.mark.parametrize("experiment", ["convergence", "prevalence", "size", "motif-total"])
+    def test_one_replicate_rejected_where_sd_reported(self, experiment):
+        with pytest.raises(ConfigError, match="replicates >= 2"):
+            small_cfg(experiment=experiment, replicates=1)
+
+    def test_one_ratio_replicate_rejected(self):
+        with pytest.raises(ConfigError, match="replicates_ratio >= 2"):
+            small_cfg(experiment="motif-total", replicates_ratio=1)
+
+    def test_stationary_check_accepts_one_replicate(self):
+        assert small_cfg(experiment="stationary-check", replicates=1).replicates == 1
+
     def test_burn_in_defaults(self):
         assert small_cfg().effective_burn_in() == 0
         assert small_cfg(init="uniform").effective_burn_in() == 16
@@ -278,6 +290,37 @@ class TestCli:
         gpath.write_text(text)
         assert self.run("stationary-check", "--graph", str(gpath)) == EXIT_CONFIG
         assert "malformed" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, capsys):
+        code = self.run("stationary-check", "--nodes", "8", "--cases", "2",
+                        "--r", "1", "--w", "1", "--out", "/nonexistent/dir/x.csv")
+        assert code == EXIT_CONFIG
+        assert "does not exist" in capsys.readouterr().err
+
+    def test_out_directory_exits_2(self, tmp_path, capsys):
+        code = self.run("stationary-check", "--nodes", "8", "--cases", "2",
+                        "--r", "1", "--w", "1", "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_out_untouched_when_campaign_fails(self, tmp_path):
+        gpath = tmp_path / "path.edges"
+        write_edge_list(path_graph(10), str(gpath))
+        out = tmp_path / "out.csv"
+        out.write_text("earlier results\n")
+        code = self.run(
+            "motif-total", "--graph", str(gpath), "--motif", "triangle",
+            "--walk-length", "6", "--replicates", "6", "--replicates-ratio", "6",
+            "--normalization", "exact", "--seed", "2", "--out", str(out),
+        )
+        assert code == EXIT_NO_OBSERVATIONS
+        assert out.read_text() == "earlier results\n"
+
+    def test_prevalence_one_replicate_exits_2(self, capsys):
+        code = self.run("prevalence", "--nodes", "10", "--cases", "2", "--r", "1", "--w", "1",
+                        "--walk-length", "8", "--replicates", "1")
+        assert code == EXIT_CONFIG
+        assert "replicates >= 2" in capsys.readouterr().err
 
     def test_missing_graph_file_exits_2(self, tmp_path):
         assert self.run("stationary-check", "--graph", str(tmp_path / "none.edges")) == EXIT_CONFIG

@@ -25,7 +25,6 @@ from lagwalk import (
     sequence_prob,
     stationary_node,
     stationary_pair,
-    step,
     transition_prob,
     transition_row,
 )
@@ -132,20 +131,22 @@ class TestStep:
     def test_support_without_jumps(self, path5):
         cfg = WalkConfig(r=0.0, w=1.0)
         rng = random.Random(0)
-        seen = {step(path5, cfg, 1, 2, rng) for _ in range(200)}
+        stepper = make_stepper(path5, cfg)
+        seen = {stepper(1, 2, rng) for _ in range(200)}
         assert seen <= {1, 3}
 
     def test_isolated_node_jump(self):
         g = Graph(6, [(0, 1)])
         cfg = WalkConfig(r=2.0)
         rng = random.Random(1)
-        seen = {step(g, cfg, 5, 5, rng) for _ in range(300)}
+        stepper = make_stepper(g, cfg)
+        seen = {stepper(5, 5, rng) for _ in range(300)}
         assert seen == set(range(6))
 
     def test_sink_raises(self):
         g = Graph(3, [(0, 1)])
         with pytest.raises(NonErgodicError):
-            step(g, WalkConfig(r=0.0), 2, 2, random.Random(0))
+            make_stepper(g, WalkConfig(r=0.0))(2, 2, random.Random(0))
 
 
 class TestPairChain:
