@@ -30,7 +30,7 @@ from .errors import (
     NoCollisionsError,
     NoObservationsError,
 )
-from .graph import MotifKind
+from .graph import MotifKind, motif_value
 from .kernel import WalkConfig, sequence_prob
 from .sampling import (
     MULTIPLICITY,
@@ -39,7 +39,7 @@ from .sampling import (
     MotifObservation,
     WalkTrace,
     _ppw_weights,
-    detect_observations,
+    _window_occurrences,
 )
 
 
@@ -144,11 +144,16 @@ def weighted_mean_degree(
     r: float,
     extraction: Sequence[Sequence[int] | None] | None = None,
 ) -> float:
-    """Ratio of sums of d/(d+r) over 1/(d+r) across all extracted states."""
+    """Ratio of sums of d/(d+r) over 1/(d+r) across all extracted states.
+
+    ``provider`` answers the degrees of every trace, or is a list or tuple
+    with one provider per trace, such as each walk's sample graph.
+    """
+    providers = provider if isinstance(provider, (list, tuple)) else [provider] * len(traces)
     num = 0.0
     den = 0.0
     count = 0
-    for idx, trace in enumerate(traces):
+    for idx, (trace, provider) in enumerate(zip(traces, providers, strict=True)):
         states = _extract(trace, extraction[idx] if extraction else None)
         for h in states:
             d = provider.degree(h)
@@ -180,38 +185,16 @@ def estimate_size_grcr(stat: CollisionStat, d_bar_w: float, r: float) -> SizeEst
     return SizeEstimate("grcr", r_hat, n_hat=n_hat, d_bar_w=d_bar_w, negative=r_hat < 0)
 
 
-def _weight(provider, obs: MotifObservation, scheme: str, prob, ppw_fallback: bool) -> float:
-    """Incidence weight of the observation's own window."""
-    if scheme == "ppw":
-        try:
-            return _ppw_weights(provider, obs, prob)[obs.sequence]
-        except Es3CoverageError:
-            if not ppw_fallback:
-                raise
-    elif scheme != "multiplicity":
-        raise ConfigError(f"unknown weight scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
-    return 1.0 / MULTIPLICITY[obs.occurrence.kind]
-
-
-def _weighted(observations, provider, scheme: str, prob, ppw_fallback: bool):
-    """(observation, incidence weight) pairs of one window, computed lazily."""
-    window = observations[0].sequence
-    for obs in observations:
-        if obs.sequence != window:
-            raise ConfigError("estimate_total_window expects observations from one window")
-        yield obs, _weight(provider, obs, scheme, prob, ppw_fallback)
-
-
-def _window_pass(observations_by_window, provider, cfg: WalkConfig, scheme: str,
+def _window_pass(windows, value_of, provider, cfg: WalkConfig, kind: MotifKind, scheme: str,
                  ppw_fallback: bool, size: float | None = None, size_is_estimate: bool = False):
-    """The window probability and weighted observations of every window.
+    """``(pi, [(value, weight), ...])`` for each ``(window, occurrence keys)`` of ``windows``.
 
-    Yields ``(pi, pairs)`` per window, where ``pairs`` lazily gives each
-    observation with its incidence weight; an empty window yields
-    ``(None, ())``.  Window probabilities are normalised by ``size`` if one
-    is given.  Sequence probabilities are memoised for the pass only, so a
-    sequence shared by several windows or occurrences is evaluated once;
-    ppw weights and unnormalised window probabilities share one memo.
+    ``value_of`` maps a key to the occurrence's value; an empty window yields
+    ``(None, [])``.  Window probabilities are normalised by ``size`` if one
+    is given.  For the pass only, sequence probabilities are memoised by
+    sequence (shared by ppw weights and unnormalised window probabilities),
+    and ppw tables, or the coverage failures that replace them by
+    multiplicity weights, by occurrence key.
     """
     prob = functools.cache(lambda seq: sequence_prob(provider, cfg, seq).value)
     # A normalised probability is not the memoised value divided by the
@@ -219,18 +202,51 @@ def _window_pass(observations_by_window, provider, cfg: WalkConfig, scheme: str,
     # orders round differently.
     window_prob = prob if size is None else functools.cache(lambda seq: sequence_prob(
         provider, cfg, seq, size=size, size_is_estimate=size_is_estimate).value)
-    for observations in observations_by_window:
-        if not observations:
-            yield None, ()
-            continue
-        pi = window_prob(observations[0].sequence)
-        yield pi, _weighted(observations, provider, scheme, prob, ppw_fallback)
+    uniform = 1.0 / MULTIPLICITY[kind]
+    tables: dict = {}
+
+    def ppw(key, window) -> float:
+        # Every scheme but multiplicity lands here: an unknown one fails after the first value.
+        if scheme != "ppw":
+            raise ConfigError(f"unknown weight scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
+        try:
+            table = tables[key]
+        except KeyError:
+            try:
+                table = _ppw_weights(provider, kind, key[1], key[0], prob)
+            except Es3CoverageError:
+                if not ppw_fallback:
+                    raise
+                table = None
+            tables[key] = table
+        return uniform if table is None else table[window]
+
+    for window, keys in windows:
+        if not keys:
+            yield None, []
+        elif scheme == "multiplicity":
+            yield window_prob(window), [(value_of(key), uniform) for key in keys]
+        else:
+            yield window_prob(window), [(value_of(key), ppw(key, window)) for key in keys]
+
+
+def _trace_pass(trace: WalkTrace, provider, cfg: WalkConfig, kind: MotifKind, scheme: str,
+                value_mode: str, ppw_fallback: bool, size=None, size_is_estimate=False):
+    """:func:`_window_pass` over every window of the trace."""
+    q = OBSERVATION_ORDER[kind]
+    states = trace.states
+    if len(states) <= q:
+        raise NoObservationsError(f"trace of length {len(states)} has no window of order {q}")
+    windows = ((window, _window_occurrences(provider, window, kind))
+               for window in (states[t : t + q + 1] for t in range(len(states) - q)))
+    return _window_pass(windows, lambda key: motif_value(provider, key[1], value_mode),
+                        provider, cfg, kind, scheme, ppw_fallback, size, size_is_estimate)
 
 
 def _window_value(pi: float, pairs) -> float:
     theta = 0.0
-    for obs, w in pairs:
-        theta += w * obs.occurrence.value / pi
+    for value, w in pairs:
+        theta += w * value / pi
     return theta
 
 
@@ -253,27 +269,23 @@ def estimate_total_window(
     occurrences whose equivalent sequences are not fully covered by the seed
     sample fall back to multiplicity weights instead of raising.
     """
-    ((pi, pairs),) = _window_pass([observations], provider, cfg, scheme, ppw_fallback,
-                                  size, size_is_estimate)
-    if pi is None:
+    if not observations:
         return 0.0, 0
+    window = observations[0].sequence
+    values = {}
+
+    def keys():  # checked lazily, so errors keep the order of the observations
+        for obs in observations:
+            if obs.sequence != window:
+                raise ConfigError("estimate_total_window expects observations from one window")
+            occ = obs.occurrence
+            values[occ.center, occ.nodes] = occ.value
+            yield occ.center, occ.nodes
+
+    ((pi, pairs),) = _window_pass([(window, keys())], values.__getitem__, provider, cfg,
+                                  observations[0].occurrence.kind, scheme, ppw_fallback,
+                                  size, size_is_estimate)
     return _window_value(pi, pairs), 1
-
-
-def _group_by_window(
-    trace: WalkTrace,
-    provider,
-    kind: MotifKind,
-    value_mode: str,
-) -> list[list[MotifObservation]]:
-    q = OBSERVATION_ORDER[kind]
-    n_windows = len(trace.states) - q
-    if n_windows <= 0:
-        raise NoObservationsError(f"trace of length {len(trace.states)} has no window of order {q}")
-    grouped: list[list[MotifObservation]] = [[] for _ in range(n_windows)]
-    for obs in detect_observations(trace, provider, kind, value_mode):
-        grouped[obs.t].append(obs)
-    return grouped
 
 
 def estimate_total(
@@ -298,9 +310,8 @@ def estimate_total(
     """
     values: list[float] = []
     flags: list[int] = []
-    grouped = _group_by_window(trace, provider, kind, value_mode)
-    for pi, pairs in _window_pass(grouped, provider, cfg, scheme, ppw_fallback,
-                                  size, size_is_estimate):
+    for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, value_mode, ppw_fallback,
+                                 size, size_is_estimate):
         values.append(0.0 if pi is None else _window_value(pi, pairs))
         flags.append(0 if pi is None else 1)
     if sum(flags) == 0:
@@ -333,18 +344,21 @@ def estimate_ratio(
     total then uses its own informative-window set.
     """
     if denominator_kind is None or denominator_kind is kind:
-        detect_mode = "product" if "product" in (numerator_values, denominator_values) else "ones"
-        grouped = _group_by_window(trace, provider, kind, detect_mode)
+        num_product, den_product = numerator_values == "product", denominator_values == "product"
+        detect_mode = "product" if num_product or den_product else "ones"
         num = 0.0
         den = 0.0
         informative = 0
-        for pi, pairs in _window_pass(grouped, provider, cfg, scheme, ppw_fallback):
+        for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, detect_mode, ppw_fallback):
             if pi is None:
                 continue
+            if not informative:
+                for mode in (numerator_values, denominator_values):
+                    motif_value(provider, (), mode)  # an empty product: checks the mode only
             informative += 1
-            for obs, w in pairs:
-                num += w * _mode_value(obs, numerator_values) / pi
-                den += w * _mode_value(obs, denominator_values) / pi
+            for value, w in pairs:
+                num += w * (value if num_product else 1.0) / pi
+                den += w * (value if den_product else 1.0) / pi
         if informative == 0:
             raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
         if den == 0.0:
@@ -361,14 +375,6 @@ def estimate_ratio(
     if den_est.theta_hat == 0.0:
         raise EstimationError("denominator estimate is zero")
     return num_est.theta_hat / den_est.theta_hat
-
-
-def _mode_value(obs: MotifObservation, mode: str) -> float:
-    if mode == "ones":
-        return 1.0
-    if mode == "product":
-        return obs.occurrence.value
-    raise ConfigError(f"unknown value mode {mode!r}")
 
 
 def replicate_summary(values: Sequence[float]) -> ReplicateSummary:

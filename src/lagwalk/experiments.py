@@ -335,12 +335,19 @@ def _prevalence_rep(graph: Graph, wcfg: WalkConfig, burn_in: int, scheme: str,
     rng = replicate_rng(master, "prevalence", cell, k, _STREAM_X)
     trace = _analysis_trace(graph, wcfg, burn_in, rng)
     sg = build_sample_graph(graph, trace)
-    mu = estimate_ratio(trace, sg, wcfg, MotifKind.NODE, "product", "ones", scheme)
+    try:
+        mu = estimate_ratio(trace, sg, wcfg, MotifKind.NODE, "product", "ones", scheme)
+    except NoObservationsError:
+        mu = np.nan
     return mu, trace.traverse
 
 
 def run_prevalence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dict]:
-    """Node-value ratio estimation over the (T, r, w) grid."""
+    """Node-value ratio estimation over the (T, r, w) grid.
+
+    A replicate without observations counts as a failure; the ``mu_*``
+    columns summarise the successful replicates.
+    """
     graph = graph if graph is not None else load_graph(cfg)
     common = _common_columns(cfg, graph)
     mu_true = float(np.mean(graph.values))
@@ -351,17 +358,20 @@ def run_prevalence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dict
         worker = functools.partial(_prevalence_rep, graph, wcfg, burn, cfg.weights,
                                    cfg.seed, cell)
         values = np.asarray(_run_indexed(worker, cfg.replicates, cfg.jobs))
-        mu = values[:, 0]
+        failed = np.isnan(values[:, 0])
+        mu = values[~failed, 0]
+        failure_rate = float(np.mean(failed))
         rows.append({
             **common,
             "B": cfg.replicates, "walk_length": length, "r": r, "w": w,
-            "mu_mean": float(mu.mean()),
-            "mu_sd": float(mu.std(ddof=1)),
-            "mu_se": float(mu.std(ddof=1) / np.sqrt(len(mu))),
+            "mu_mean": float(mu.mean()) if mu.size else np.nan,
+            "mu_sd": float(mu.std(ddof=1)) if mu.size > 1 else np.nan,
+            "mu_se": float(mu.std(ddof=1) / np.sqrt(len(mu))) if mu.size > 1 else np.nan,
             "psi_mean": float(values[:, 1].mean()),
             "mu_true": mu_true,
-            "failure_rate": 0.0,
+            "failure_rate": failure_rate,
         })
+        _check_failure_rate(cfg, failure_rate, f"cell (T={length}, r={r}, w={w})")
     return rows
 
 
@@ -387,8 +397,9 @@ def _size_rep(graph: Graph, wcfg: WalkConfig, burn_in: int,
     rng_y = replicate_rng(master, "size", cell, k, _STREAM_Y)
     trace_x = _analysis_trace(graph, wcfg, burn_in, rng_x)
     trace_y = _analysis_trace(graph, wcfg, burn_in, rng_y)
-    stat = count_collisions(trace_x, trace_y, graph, wcfg.r)
-    d_bar = weighted_mean_degree([trace_x, trace_y], graph, wcfg.r)
+    sample_x, sample_y = build_sample_graph(graph, trace_x), build_sample_graph(graph, trace_y)
+    stat = count_collisions(trace_x, trace_y, sample_x, wcfg.r)
+    d_bar = weighted_mean_degree([trace_x, trace_y], [sample_x, sample_y], wcfg.r)
     gr = estimate_size_gr(d_bar, graph.n).r_hat
     if stat.m <= 0:
         return np.nan, gr, np.nan, 0.0
@@ -463,10 +474,11 @@ def _total_rep(graph: Graph, wcfg: WalkConfig, burn_in: int, motif: MotifKind, s
     else:
         rng_y = replicate_rng(master, "motif-total", cell, k, _STREAM_Y)
         trace_y = _analysis_trace(graph, wcfg, burn_in, rng_y)
-        stat = count_collisions(trace_x, trace_y, graph, wcfg.r)
+        stat = count_collisions(trace_x, trace_y, sg, wcfg.r)
         if stat.m <= 0:
             return np.nan
-        d_bar = weighted_mean_degree([trace_x, trace_y], graph, wcfg.r)
+        d_bar = weighted_mean_degree([trace_x, trace_y], [sg, build_sample_graph(graph, trace_y)],
+                                     wcfg.r)
         size = estimate_size_grcr(stat, d_bar, wcfg.r).r_hat
         estimated = True
     try:

@@ -78,9 +78,6 @@ class WalkTrace:
         """Fraction of distinct nodes visited."""
         return len(set(self.states)) / self.n_nodes
 
-    def window(self, t: int, q: int) -> tuple[int, ...]:
-        return self.states[t : t + q + 1]
-
     def contiguous_windows(self, q: int):
         """All realised successive-state runs of length q + 1, in walk order.
 
@@ -200,13 +197,13 @@ class MotifObservation:
     t: int
 
 
-def _window_occurrences(provider, window: tuple[int, ...], kind: MotifKind) -> list[frozenset[int] | tuple]:
-    """Occurrence keys revealed by one window; 2-stars yield (center, nodes)."""
+def _window_occurrences(provider, window: tuple[int, ...], kind: MotifKind) -> list[tuple]:
+    """Keys (center, nodes) revealed by one window; only 2-stars have a center."""
     if kind is MotifKind.NODE:
-        return [frozenset((window[0],))]
+        return [(None, frozenset(window))]
     if kind is MotifKind.EDGE:
         h = window[0]
-        return [frozenset((h, j)) for j in sorted(provider.neighbors_of(h))]
+        return [(None, frozenset((h, j))) for j in sorted(provider.neighbors_of(h))]
     if kind is MotifKind.TWO_STAR:
         h = window[0]
         return [
@@ -218,26 +215,26 @@ def _window_occurrences(provider, window: tuple[int, ...], kind: MotifKind) -> l
         if i == j or not provider.has_edge(i, j):
             return []
         common = provider.neighbors_of(i) & provider.neighbors_of(j)
-        return [frozenset((i, j, k)) for k in sorted(common)]
+        return [(None, frozenset((i, j, k))) for k in sorted(common)]
     if kind in (MotifKind.FOUR_CYCLE, MotifKind.THREE_PATH):
         x, y, z = window
         if x == z or not (provider.has_edge(x, y) and provider.has_edge(y, z)):
             return []
         if provider.has_edge(x, z):
             return []  # chord: the window is not a piece of an induced 4-node motif
-        out: list[frozenset[int]] = []
+        out: list[tuple] = []
         if kind is MotifKind.FOUR_CYCLE:
             closing = (provider.neighbors_of(x) & provider.neighbors_of(z)) - {y}
             for h in sorted(closing):
                 if not provider.has_edge(y, h):
-                    out.append(frozenset((x, y, z, h)))
+                    out.append((None, frozenset((x, y, z, h))))
         else:
             for h in sorted(provider.neighbors_of(z) - {x, y}):
                 if not provider.has_edge(x, h) and not provider.has_edge(y, h):
-                    out.append(frozenset((x, y, z, h)))
+                    out.append((None, frozenset((x, y, z, h))))
             for h in sorted(provider.neighbors_of(x) - {y, z}):
                 if not provider.has_edge(z, h) and not provider.has_edge(y, h):
-                    out.append(frozenset((h, x, y, z)))
+                    out.append((None, frozenset((h, x, y, z))))
         return out
     raise ConfigError(f"unsupported motif kind {kind!r}")
 
@@ -257,11 +254,7 @@ def detect_observations(
     q = OBSERVATION_ORDER[kind]
     out: list[MotifObservation] = []
     for t, window in trace.contiguous_windows(q):
-        for key in _window_occurrences(provider, window, kind):
-            if kind is MotifKind.TWO_STAR:
-                center, nodes = key
-            else:
-                center, nodes = None, key
+        for center, nodes in _window_occurrences(provider, window, kind):
             occ = MotifOccurrence(kind, nodes, motif_value(provider, nodes, value_mode), center)
             out.append(MotifObservation(occ, window, t))
     return out
@@ -269,14 +262,18 @@ def detect_observations(
 
 def equivalent_sequences(provider, obs: MotifObservation) -> tuple[tuple[int, ...], ...]:
     """All windows that would reveal the occurrence under its observation rule."""
-    kind = obs.occurrence.kind
-    nodes = sorted(obs.occurrence.nodes)
+    occ = obs.occurrence
+    return _equivalent_sequences(provider, occ.kind, occ.nodes, occ.center)
+
+
+def _equivalent_sequences(provider, kind: MotifKind, nodes, center: int | None):
+    nodes = sorted(nodes)
     if kind is MotifKind.NODE:
         return ((nodes[0],),)
     if kind is MotifKind.EDGE:
         return tuple((v,) for v in nodes)
     if kind is MotifKind.TWO_STAR:
-        return ((obs.occurrence.center,),)
+        return ((center,),)
     if kind is MotifKind.TRIANGLE:
         return tuple(itertools.permutations(nodes, 2))
     if kind is MotifKind.FOUR_CYCLE:
@@ -340,21 +337,23 @@ def incidence_weights(
         u = 1.0 / len(seqs)
         return {s: u for s in seqs}
     if scheme == "ppw":
-        return _ppw_weights(provider, obs, lambda s: sequence_prob(provider, cfg, s).value)
+        occ = obs.occurrence
+        return _ppw_weights(provider, occ.kind, occ.nodes, occ.center,
+                            lambda s: sequence_prob(provider, cfg, s).value)
     raise ConfigError(f"unknown weight scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
 
 
-def _ppw_weights(provider, obs: MotifObservation, prob) -> dict[tuple[int, ...], float]:
-    """PPW weights from ``prob``, the unnormalised probability of a sequence.
+def _ppw_weights(provider, kind, nodes, center, prob) -> dict[tuple[int, ...], float]:
+    """PPW weights of an occurrence from ``prob``, the unnormalised probability of a sequence.
 
     The normaliser is summed in :func:`equivalent_sequences` order.
     """
-    seqs = equivalent_sequences(provider, obs)
+    seqs = _equivalent_sequences(provider, kind, nodes, center)
     try:
         probs = {s: prob(s) for s in seqs}
     except UnobservedEntryError as exc:
         raise Es3CoverageError(
-            f"ppw needs every equivalent sequence of {set(obs.occurrence.nodes)} "
+            f"ppw needs every equivalent sequence of {set(nodes)} "
             f"inside the seed sample: {exc}"
         ) from exc
     total = sum(probs.values())

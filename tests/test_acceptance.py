@@ -44,6 +44,8 @@ from lagwalk.experiments import (
 from lagwalk.sampling import detect_observations
 from helpers import brute_force_total, complete_graph, connected_graphs_up_to, random_graph
 
+pytestmark = pytest.mark.slow
+
 MASTER_SEED = 1
 JOBS = 2
 

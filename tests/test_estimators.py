@@ -15,6 +15,7 @@ from lagwalk import (
     MotifKind,
     NoCollisionsError,
     NoObservationsError,
+    UnobservedEntryError,
     WalkConfig,
     WalkTrace,
     build_sample_graph,
@@ -136,6 +137,26 @@ class TestSizeEstimators:
         assert weighted_mean_degree([t1, t2], g, r=1.0) == pytest.approx(5 / 3)
         # regular graph: exactly k whatever the extraction
         assert weighted_mean_degree([tx], c4, r=0.3) == pytest.approx(2.0)
+
+    def test_audited_providers(self, study_graph):
+        g = study_graph
+        cfg = WalkConfig(r=0.5, w=0.5, walk_length=40)
+        tx, ty = (run_walk(g, cfg, random.Random(seed)) for seed in (1, 2))
+        sx, sy = build_sample_graph(g, tx), build_sample_graph(g, ty)
+        assert weighted_mean_degree([tx, ty], [sx, sy], 0.5) == weighted_mean_degree([tx, ty], g, 0.5)
+        assert count_collisions(tx, ty, sx, 0.5) == count_collisions(tx, ty, g, 0.5)
+        assert set(ty.states) - sx.seed  # y visits nodes x did not
+        with pytest.raises(UnobservedEntryError):
+            weighted_mean_degree([tx, ty], sx, 0.5)
+        with pytest.raises(UnobservedEntryError):
+            weighted_mean_degree([tx, ty], [sy, sx], 0.5)
+        with pytest.raises(ValueError):
+            weighted_mean_degree([tx, ty], [sx], 0.5)
+        matched = set(tx.states) & set(ty.states)
+        assert matched
+        elsewhere = build_sample_graph(g, make_trace([v for v in range(g.n) if v not in matched], g))
+        with pytest.raises(UnobservedEntryError):
+            count_collisions(tx, ty, elsewhere, 0.5)
 
     def test_weighted_mean_degree_needs_states(self, c4):
         tx = make_trace([0], c4)

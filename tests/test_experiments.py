@@ -1,11 +1,26 @@
 """Campaign runners, CSV output, substream seeding, CLI and exit codes."""
 
 import csv
+import hashlib
 import io
 
+import numpy as np
 import pytest
 
-from lagwalk import CampaignConfig, ConfigError, Graph, write_edge_list
+from lagwalk import (
+    CampaignConfig,
+    ConfigError,
+    Graph,
+    UnobservedEntryError,
+    build_sample_graph,
+    count_collisions,
+    estimate_size_cr,
+    estimate_size_gr,
+    estimate_size_grcr,
+    weighted_mean_degree,
+    write_edge_list,
+)
+from lagwalk import experiments
 from lagwalk.cli import (
     EXIT_CONFIG,
     EXIT_NO_OBSERVATIONS,
@@ -27,6 +42,7 @@ from lagwalk.experiments import (
     run_stationary_check,
     substream_seed,
 )
+from lagwalk.sampling import WalkTrace
 from helpers import complete_graph, path_graph
 
 SMALL_GRAPH = dict(n_nodes=24, n_cases=6, p_case_case=0.6, p_case_noncase=0.2,
@@ -109,6 +125,28 @@ class TestPrevalenceRunner:
             assert 0 <= row["mu_mean"] <= 1
             assert 0 < row["psi_mean"] <= 1
 
+    def test_failed_replicate_counts_as_failure(self, monkeypatch):
+        rep = experiments._prevalence_rep
+
+        def one_fails(graph, wcfg, burn_in, scheme, master, cell, k):
+            mu, psi = rep(graph, wcfg, burn_in, scheme, master, cell, k)
+            return (np.nan if k == 1 else mu), psi
+
+        cfg = small_cfg(replicates=4, max_failure_rate=0.5)
+        (full,) = run_prevalence(cfg)
+        ok = np.array([rep(experiments.load_graph(cfg), experiments._walk_config(cfg, 0.5, 1.0, 12),
+                           0, "multiplicity", 7, 0, k)[0] for k in (0, 2, 3)])
+        monkeypatch.setattr(experiments, "_prevalence_rep", one_fails)
+        (row,) = run_prevalence(cfg)
+        assert full["failure_rate"] == 0.0
+        assert row["failure_rate"] == 0.25
+        assert row["mu_mean"] == float(ok.mean())
+        assert row["mu_sd"] == float(ok.std(ddof=1))
+        assert row["mu_se"] == float(ok.std(ddof=1) / np.sqrt(3))
+        assert row["psi_mean"] == full["psi_mean"]
+        with pytest.raises(ObservationFailureError):
+            run_prevalence(small_cfg(replicates=4, max_failure_rate=0.2))
+
 
 class TestSizeRunner:
     def test_smoke_and_shape(self):
@@ -123,11 +161,37 @@ class TestSizeRunner:
         for row in rows:
             assert row["true_edge_count"] == row["true_edge_count"]  # not NaN
 
+    def test_degrees_read_through_the_audit(self, monkeypatch):
+        """Sizes use the walks' sample graphs, and give the same values as the full graph."""
+        cfg = small_cfg(experiment="size", lengths=(20,), replicates=4, max_failure_rate=1.0)
+        graph = experiments.load_graph(cfg)
+        wcfg = experiments._walk_config(cfg, 0.5, 1.0, 19)
+        traces = [experiments._analysis_trace(graph, wcfg, 0, experiments.replicate_rng(
+            7, "size", 0, 0, stream)) for stream in (0, 1)]
+        stat = count_collisions(*traces, graph, 0.5)
+        d_bar = weighted_mean_degree(traces, graph, 0.5)
+        cr, gr, grcr, _ = experiments._size_rep(graph, wcfg, 0, 7, 0, 0)
+        assert gr == estimate_size_gr(d_bar, graph.n).r_hat
+        assert grcr == estimate_size_grcr(stat, d_bar, 0.5).r_hat
+        assert cr == estimate_size_cr(stat, 0.5, graph.n).r_hat
+
+        monkeypatch.setattr(experiments, "build_sample_graph", _sample_graph_missing_last_state)
+        with pytest.raises(UnobservedEntryError):
+            experiments._size_rep(graph, wcfg, 0, 7, 0, 0)
+        with pytest.raises(UnobservedEntryError):
+            experiments._total_rep(graph, wcfg, 0, cfg.motif, "multiplicity", "estimated", 7, 0, 0)
+
     def test_estimator_selection(self):
         cfg = small_cfg(experiment="size", lengths=(16,), replicates=10,
                         estimators=("gr",), max_failure_rate=1.0)
         rows = run_size(cfg)
         assert [r["estimator"] for r in rows] == ["gr"]
+
+
+def _sample_graph_missing_last_state(graph, trace):
+    """The sample graph of a trace with every visit to its last state removed."""
+    kept = tuple(v for v in trace.states if v != trace.states[-1])
+    return build_sample_graph(graph, WalkTrace(kept, trace.config, trace.n_nodes))
 
 
 class TestMotifTotalRunner:
@@ -395,3 +459,60 @@ class TestMonotoneInformation:
         rows = run_prevalence(cfg)
         sd = {row["walk_length"]: row["mu_sd"] for row in rows}
         assert sd[60] <= sd[20] * 1.1
+
+
+# SHA-256 of campaign CSVs from tiny CLI configs, computed at commit 093f327,
+# before the window pass stopped building observation objects.  A change that
+# alters a random stream or a float operation on purpose must update these
+# digests and say so.
+DIGEST_ARGS = ["--nodes", "30", "--cases", "8", "--p-cc", "0.5", "--p-cn", "0.2", "--p-nn", "0.15",
+               "--graph-seed", "3", "--r", "0.5", "--w", "0.3", "--seed", "11",
+               "--max-failure-rate", "1"]
+CSV_DIGESTS = {
+    "prevalence-multiplicity": "7e1db8455ef34a390c9a8ecc43bd0ab5324ab885b9d0d25d0c7ef517ef801473",
+    "prevalence-ppw": "7e1db8455ef34a390c9a8ecc43bd0ab5324ab885b9d0d25d0c7ef517ef801473",
+    "size": "5f91dbda8ec97c50fbbbbcba890f204846da2f3a3432420fb71ee9e87b0ae408",
+    "motif-total-node-multiplicity-exact": "4c6257f7e93127e0a3ca34db7d5bbe7eefcda11e97760912605a243cfcd9fc83",
+    "motif-total-node-multiplicity-estimated": "3c68b4c5a5cb240d266b686ad715bfcabce232cca2f7242a506856f93074d1c1",
+    "motif-total-node-ppw-exact": "b1b6bb77075371a7ddb9b6e7e0d2ad50b2b5ff7cbd1c8772e0c05c5671d224bb",
+    "motif-total-node-ppw-estimated": "32099b03a88676e3897fa5a3caeff4459a589a95d2f4512e51ed195b6482477e",
+    "motif-total-edge-multiplicity-exact": "f735c72792260097a7189980ce4673f4ec301a0d15f26792e4da983537c4de5f",
+    "motif-total-edge-multiplicity-estimated": "131d7f947c401f434d9fd07658f6873570f171575f75c578f579a5f0a058bcc8",
+    "motif-total-edge-ppw-exact": "15e63ff3c61bfd25cdea6f2f6cbba67e67677acb8eca62171256852bb6aa518f",
+    "motif-total-edge-ppw-estimated": "d9a56ca03a6a362dae794541889207db5a87d094db91801b909206b36eb040d7",
+    "motif-total-two-star-multiplicity-exact": "9420a099e5dda3bbfe00f732dddd5edcc3a5db216fba20155014f70eb56f434a",
+    "motif-total-two-star-multiplicity-estimated": "6f07e95c272084d6ec186e8706d5d691f0995fbfc5b30798eb9393620b54ffa3",
+    "motif-total-two-star-ppw-exact": "d988092003ccb868c1bf131aab8dd3b742e46ec9201587f9048579df5144fc8a",
+    "motif-total-two-star-ppw-estimated": "cd082de154f48d85c262bbbea44738f5a20f899870b949c4b57ecd4fd89f527c",
+    "motif-total-triangle-multiplicity-exact": "7121b053fdc167c3d62484196cccb61229ca66d48ce24cf831df38be7118057b",
+    "motif-total-triangle-multiplicity-estimated": "a1bb928b8192e77207387329cf50049f8958df27846f723475ed0a815d648c5b",
+    "motif-total-triangle-ppw-exact": "a0282ad584e61f56bfb631a949e433afd1a9852dd2356bb8b59807cc34697f2d",
+    "motif-total-triangle-ppw-estimated": "6399ca23f6b744b5eed54fb1ddf414d443552df6b0b858a3d84c0752e861f298",
+    "motif-total-four-cycle-multiplicity-exact": "d5b1cb994391ef1ecc42fe96cb6e6d922c530946cf5759360d529b3d280f88b9",
+    "motif-total-four-cycle-multiplicity-estimated": "cd03fd581b96d91e95ff873d4d94328ddfe11d7db056e987104cd5d25b32ca62",
+    "motif-total-four-cycle-ppw-exact": "d0db608b2c296a7ed5c93ff07bd3ffd86b511dbb4337846b212ee4ceeddf82f2",
+    "motif-total-four-cycle-ppw-estimated": "4ae4a11746aecf2bee1aeeadd81ca7e94a8986a0f8e55e47a664f6c8a9ad4557",
+    "motif-total-three-path-multiplicity-exact": "c220e14406312dc0ae655c0b0e083e90754bc2575c01a7e04410ab3129f2ec77",
+    "motif-total-three-path-multiplicity-estimated": "11f2feea58897123295c298b3374f7796a63c86ab22f9031a71e22a1476df202",
+    "motif-total-three-path-ppw-exact": "b9b9c6865331aa8ec1ae86a490fa034a6aed3e257493cf93ca6f48fc261e87d3",
+    "motif-total-three-path-ppw-estimated": "294ee535a7e8177ae110e6283bbdcd5022372628c241d321481aac5c0266510f",
+}
+
+
+def _digest_argv(name):
+    if name == "size":
+        return ["size", "--walk-length", "40", "--replicates", "6"]
+    if name.startswith("prevalence-"):
+        return ["prevalence", "--weights", name.split("-", 1)[1], "--walk-length", "60",
+                "--replicates", "5"]
+    kind, scheme, norm = name[len("motif-total-"):].rsplit("-", 2)
+    return ["motif-total", "--motif", kind, "--weights", scheme, "--normalization", norm,
+            "--walk-length", "30", "--replicates", "3", "--replicates-ratio", "3"]
+
+
+class TestCsvDigests:
+    @pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
+    def test_csv_bytes(self, tmp_path, name):
+        out = tmp_path / "out.csv"
+        assert main(_digest_argv(name) + DIGEST_ARGS + ["--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[name]

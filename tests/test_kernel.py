@@ -128,6 +128,57 @@ class TestStep:
         se = np.sqrt(row * (1 - row) / n_draws)
         assert (np.abs(freq - row) <= 4 * se + 1e-12).all()
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n_core=st.integers(1, 6),
+        edge_flags=st.lists(st.booleans(), min_size=15, max_size=15),
+        r=st.floats(0.0, 5.0, exclude_min=True),
+        w=st.floats(0.0, 1.0),
+        prev=st.integers(0, 7),
+        cur=st.integers(0, 7),
+        came_along_edge=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_frequencies_match_row(self, n_core, edge_flags, r, w, prev, cur,
+                                        came_along_edge, seed):
+        """Chi-square test of 20,000 sampler draws against the row, at p > 1e-6."""
+        from scipy.stats import chi2
+
+        # A random graph on 1-6 core nodes, a pendant node hanging off node 0
+        # and an isolated node: 3-8 nodes in all.
+        pairs = list(itertools.combinations(range(n_core), 2))
+        edges = [pair for pair, flag in zip(pairs, edge_flags) if flag]
+        g = Graph(n_core + 2, edges + [(0, n_core)])
+        cur = cur % g.n
+        nbrs = sorted(g.neighbors_of(cur))
+        # A walk mostly arrives along an edge, where backtracking applies.
+        prev = nbrs[prev % len(nbrs)] if came_along_edge and nbrs else prev % g.n
+        cfg = WalkConfig(r=r, w=w)
+        row = transition_row(g, cfg, prev, cur)
+        stepper = make_stepper(g, cfg)
+        rng = random.Random(seed)
+        n_draws = 20_000
+        counts = np.bincount([stepper(prev, cur, rng) for _ in range(n_draws)], minlength=g.n)
+        assert counts[row == 0].sum() == 0
+        expected = n_draws * row[row > 0]
+        observed = counts[row > 0]
+        # Cells expected fewer than 5 times are pooled; a pool still below 5
+        # joins the smallest other cell.  Pooling keeps the test valid.
+        small = expected < 5
+        obs, exp = list(observed[~small]), list(expected[~small])
+        if small.any():
+            if expected[small].sum() >= 5 or not exp:
+                obs.append(observed[small].sum())
+                exp.append(expected[small].sum())
+            else:
+                k = int(np.argmin(exp))
+                obs[k] += observed[small].sum()
+                exp[k] += expected[small].sum()
+        obs, exp = np.asarray(obs, dtype=float), np.asarray(exp)
+        if len(exp) > 1:
+            stat = float(((obs - exp) ** 2 / exp).sum())
+            assert chi2.sf(stat, len(exp) - 1) > 1e-6
+
     def test_support_without_jumps(self, path5):
         cfg = WalkConfig(r=0.0, w=1.0)
         rng = random.Random(0)
