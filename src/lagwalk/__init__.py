@@ -51,10 +51,8 @@ from .graph import (
 )
 from .kernel import (
     PairStateChain,
-    SequenceProbability,
     WalkConfig,
     build_pair_chain,
-    exact_sequence_prob,
     marginal_at_t,
     sequence_prob,
     stationary_node,
@@ -69,7 +67,6 @@ from .sampling import (
     build_sample_graph,
     detect_observations,
     equivalent_sequences,
-    incidence_weights,
     run_walk,
 )
 
@@ -94,7 +91,6 @@ __all__ = [
     "PairStateChain",
     "ReplicateSummary",
     "SampleGraph",
-    "SequenceProbability",
     "SequenceUnreachableError",
     "SizeEstimate",
     "StateSpaceError",
@@ -115,10 +111,8 @@ __all__ = [
     "estimate_size_grcr",
     "estimate_total",
     "estimate_total_window",
-    "exact_sequence_prob",
     "generate_case_graph",
     "graph_total",
-    "incidence_weights",
     "load_graph",
     "marginal_at_t",
     "read_edge_list",

@@ -186,7 +186,7 @@ def estimate_size_grcr(stat: CollisionStat, d_bar_w: float, r: float) -> SizeEst
 
 
 def _window_pass(windows, value_of, provider, cfg: WalkConfig, kind: MotifKind, scheme: str,
-                 ppw_fallback: bool, size: float | None = None, size_is_estimate: bool = False):
+                 ppw_fallback: bool, size: float | None = None):
     """``(pi, [(value, weight), ...])`` for each ``(window, occurrence keys)`` of ``windows``.
 
     ``value_of`` maps a key to the occurrence's value; an empty window yields
@@ -196,12 +196,12 @@ def _window_pass(windows, value_of, provider, cfg: WalkConfig, kind: MotifKind, 
     and ppw tables, or the coverage failures that replace them by
     multiplicity weights, by occurrence key.
     """
-    prob = functools.cache(lambda seq: sequence_prob(provider, cfg, seq).value)
+    prob = functools.cache(functools.partial(sequence_prob, provider, cfg))
     # A normalised probability is not the memoised value divided by the
     # constant: sequence_prob divides before it multiplies, and the two
     # orders round differently.
-    window_prob = prob if size is None else functools.cache(lambda seq: sequence_prob(
-        provider, cfg, seq, size=size, size_is_estimate=size_is_estimate).value)
+    window_prob = prob if size is None else functools.cache(
+        functools.partial(sequence_prob, provider, cfg, size=size))
     uniform = 1.0 / MULTIPLICITY[kind]
     tables: dict = {}
 
@@ -231,7 +231,7 @@ def _window_pass(windows, value_of, provider, cfg: WalkConfig, kind: MotifKind, 
 
 
 def _trace_pass(trace: WalkTrace, provider, cfg: WalkConfig, kind: MotifKind, scheme: str,
-                value_mode: str, ppw_fallback: bool, size=None, size_is_estimate=False):
+                value_mode: str, ppw_fallback: bool, size=None):
     """:func:`_window_pass` over every window of the trace."""
     q = OBSERVATION_ORDER[kind]
     states = trace.states
@@ -240,7 +240,7 @@ def _trace_pass(trace: WalkTrace, provider, cfg: WalkConfig, kind: MotifKind, sc
     windows = ((window, _window_occurrences(provider, window, kind))
                for window in (states[t : t + q + 1] for t in range(len(states) - q)))
     return _window_pass(windows, lambda key: motif_value(provider, key[1], value_mode),
-                        provider, cfg, kind, scheme, ppw_fallback, size, size_is_estimate)
+                        provider, cfg, kind, scheme, ppw_fallback, size)
 
 
 def _window_value(pi: float, pairs) -> float:
@@ -256,7 +256,6 @@ def estimate_total_window(
     cfg: WalkConfig,
     scheme: str = "multiplicity",
     size: float | None = None,
-    size_is_estimate: bool = False,
     ppw_fallback: bool = False,
 ) -> tuple[float, int]:
     """Per-window estimate and an indicator that the window revealed anything.
@@ -283,8 +282,7 @@ def estimate_total_window(
             yield occ.center, occ.nodes
 
     ((pi, pairs),) = _window_pass([(window, keys())], values.__getitem__, provider, cfg,
-                                  observations[0].occurrence.kind, scheme, ppw_fallback,
-                                  size, size_is_estimate)
+                                  observations[0].occurrence.kind, scheme, ppw_fallback, size)
     return _window_value(pi, pairs), 1
 
 
@@ -311,7 +309,7 @@ def estimate_total(
     values: list[float] = []
     flags: list[int] = []
     for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, value_mode, ppw_fallback,
-                                 size, size_is_estimate):
+                                 size):
         values.append(0.0 if pi is None else _window_value(pi, pairs))
         flags.append(0 if pi is None else 1)
     if sum(flags) == 0:

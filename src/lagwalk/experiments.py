@@ -106,6 +106,8 @@ class CampaignConfig:
             raise ConfigError("motif-total reports an SD and needs replicates_ratio >= 2")
         if not self.r_values or not self.w_values or not self.lengths:
             raise ConfigError("r, w and length grids must be nonempty")
+        if self.burn_in is not None and self.burn_in < 0:
+            raise ConfigError(f"burn_in={self.burn_in} must be >= 0")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if not 0.0 <= self.max_failure_rate <= 1.0:

@@ -14,16 +14,26 @@ With w = 1 the node process is Markov with stationary law proportional to
 d_h + r.  For w < 1 the node process is non-Markovian, but the ordered pair
 (X_{t-1}, X_t) is a Markov chain on N^2 states; its stationary vector puts
 probability proportional to 1 + r/N on adjacent pairs and r/N on the rest,
-which marginalises to (d_h + r)/(2R + rN) for every w.  This module applies
-that pair chain matrix-free, in O(N^2) per step, and solves it by power
-iteration so the closed forms can be verified numerically; the explicit
-matrix is kept as a reference form.
+which marginalises to (d_h + r)/(2R + rN) for every w.  With C = 2R + rN the
+pair law factorises as
+
+    pi_pair(i, h) = (a_ih + r/N)/C = pi(i) p(h | i, i),
+
+a stationary node followed by one lag-free step.  So the equilibrium
+probability of a run of successive states is pi(x_0) p(x_1 | x_0, x_0)
+times its in-run transitions, exactly and for every w (see
+:func:`sequence_prob`): the estimators' window probabilities are exact at
+equilibrium, not an approximation.  This module applies the pair chain
+matrix-free, in O(N^2) per step, and solves it by power iteration so the
+closed forms can be verified numerically; the explicit matrix is kept as a
+reference form.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 import random
 from dataclasses import dataclass
 
@@ -66,8 +76,8 @@ class WalkConfig:
     init_node: int | None = None
 
     def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ConfigError(f"jump rate r={self.r} must be >= 0")
+        if not math.isfinite(self.r) or self.r < 0:
+            raise ConfigError(f"jump rate r={self.r} must be finite and >= 0")
         if not 0.0 <= self.w <= 1.0:
             raise ConfigError(f"backtracking weight w={self.w} must be in [0, 1]")
         if self.walk_length < 0:
@@ -85,6 +95,10 @@ def transition_prob(g, cfg: WalkConfig, prev: int, cur: int, nxt: int) -> float:
     ``has_edge`` (the full graph or an observed sample view).  ``prev`` need
     not be adjacent to ``cur``; a non-adjacent prev simply contributes no
     backtracking term.  Passing prev == cur gives the lag-free kernel.
+
+    This is the reference form of the law: :func:`transition_row`, and so
+    :attr:`PairStateChain.matrix`, are read off it, and the pair operator
+    and the sampler of :func:`make_stepper` are checked against it.
     """
     n = g.n
     d = g.degree(cur)
@@ -105,23 +119,8 @@ def transition_prob(g, cfg: WalkConfig, prev: int, cur: int, nxt: int) -> float:
 
 
 def transition_row(g: Graph, cfg: WalkConfig, prev: int, cur: int) -> np.ndarray:
-    """Full row of the one-step law from (prev, cur) as a length-N vector."""
-    n = g.n
-    d = g.degree(cur)
-    r, w = cfg.r, cfg.w
-    if d == 0:
-        if r == 0:
-            raise NonErgodicError(f"node {cur} is a sink: degree 0 and r = 0")
-        return np.full(n, 1.0 / n)
-    denom = d + r
-    a = g.adjacency_matrix()[cur].astype(float)
-    row = np.full(n, (r / denom) / n)
-    if d == 1 or not g.has_edge(prev, cur):
-        row += a / denom
-    else:
-        row += a * ((d - w) / (denom * (d - 1)))
-        row[prev] = (r / denom) / n + w / denom
-    return row
+    """Full row of the one-step law from (prev, cur), read off :func:`transition_prob`."""
+    return np.array([transition_prob(g, cfg, prev, cur, j) for j in range(g.n)])
 
 
 def make_stepper(g: Graph, cfg: WalkConfig):
@@ -192,9 +191,6 @@ class PairStateChain:
         self._after = np.where(branching, (d - w) / (denom * np.maximum(d - 1, 1)), self._plain)
         self._back_gain = np.where(branching, w / denom, self._plain) - self._after
 
-    def pair_index(self, prev: int, cur: int) -> int:
-        return prev * self.n_nodes + cur
-
     def step(self, pair_dist: np.ndarray) -> np.ndarray:
         """One step of a pair distribution: the vector pi P, without P.
 
@@ -218,8 +214,9 @@ class PairStateChain:
 
         A reference form for tests and diagnostics; no solver uses it.  Row
         (i, h) holds p(j | h, i) in column (h, j), taken from
-        :func:`transition_row`.  It stores N^3 entries, so it is built on
-        first access and refused above ``MATRIX_MAX_STATES`` states.
+        :func:`transition_row`, so from the law the estimators use.  It
+        stores N^3 entries, so it is built on first access and refused above
+        ``MATRIX_MAX_STATES`` states.
         """
         if self.n_states > MATRIX_MAX_STATES:
             raise StateSpaceError(
@@ -317,35 +314,17 @@ def marginal_at_t(
     return chain.node_marginal(pair)
 
 
-@dataclass(frozen=True)
-class SequenceProbability:
-    """Stationary probability of observing a given run of successive states.
-
-    ``normalization`` records whether the leading stationary factor used the
-    true edge count ("exact"), an estimate ("estimated"), or was left as the
-    unnormalised weight d + r ("unnormalized", i.e. the value times
-    2R + rN).
-    """
-
-    sequence: tuple[int, ...]
-    value: float
-    normalization: str
-
-
-def sequence_prob(
-    provider,
-    cfg: WalkConfig,
-    sequence,
-    size: float | None = None,
-    size_is_estimate: bool = False,
-) -> SequenceProbability:
+def sequence_prob(provider, cfg: WalkConfig, sequence, size: float | None = None) -> float:
     """Probability of a successive-state sequence at equilibrium.
 
-    The first factor is the stationary probability of the first state; the
-    first transition uses the lag-free kernel (no predecessor is defined for
-    it) and later transitions use the in-sequence predecessor.  ``provider``
-    only needs degrees and adjacency for the sequence's nodes, so an observed
-    sample view suffices whenever the sequence lies inside the seed sample.
+    The first factor is the stationary probability of the first state and
+    the first transition uses the lag-free kernel; later transitions use the
+    in-sequence predecessor.  This is exact for every w, with no predecessor
+    to integrate out: the stationary pair law factorises as
+    pi_pair(i, h) = pi(i) p(h | i, i) (see the module docstring).
+    ``provider`` only needs degrees and adjacency for the sequence's nodes,
+    so an observed sample view suffices whenever the sequence lies inside
+    the seed sample.
 
     With ``size=None`` the result is unnormalised (the constant 2R + rN is
     dropped), which is enough for ratio estimation.
@@ -355,12 +334,7 @@ def sequence_prob(
         raise ConfigError("sequence must contain at least one state")
     r = cfg.r
     d0 = provider.degree(seq[0])
-    if size is None:
-        value = d0 + r
-        norm = "unnormalized"
-    else:
-        value = (d0 + r) / (2.0 * size + r * provider.n)
-        norm = "estimated" if size_is_estimate else "exact"
+    value = d0 + r if size is None else (d0 + r) / (2.0 * size + r * provider.n)
     prev = seq[0]
     for k in range(1, len(seq)):
         p = transition_prob(provider, cfg, prev, seq[k - 1], seq[k])
@@ -370,44 +344,7 @@ def sequence_prob(
             )
         value *= p
         prev = seq[k - 1]
-    return SequenceProbability(seq, value, norm)
-
-
-def exact_sequence_prob(
-    g: Graph,
-    cfg: WalkConfig,
-    sequence,
-    chain: PairStateChain | None = None,
-    pair_stationary: np.ndarray | None = None,
-) -> float:
-    """Exact equilibrium probability of a mid-walk sequence.
-
-    Unlike :func:`sequence_prob`, the (unknown) predecessor of the first
-    state is integrated out against the pair-chain stationary law.  For
-    sequences of length <= 2 the two definitions coincide; for longer
-    sequences and w < 1 they can differ, and this function measures by how
-    much.
-    """
-    seq = tuple(sequence)
-    if not seq:
-        raise ConfigError("sequence must contain at least one state")
-    if pair_stationary is None:
-        if chain is None:
-            chain = build_pair_chain(g, cfg)
-        pair_stationary = stationary_pair(chain)
-    n = g.n
-    first = seq[0]
-    if len(seq) == 1:
-        return float(pair_stationary.reshape(n, n)[:, first].sum())
-    pair = pair_stationary.reshape(n, n)
-    total = 0.0
-    for i in range(n):
-        total += pair[i, first] * transition_prob(g, cfg, i, first, seq[1])
-    prev = first
-    for k in range(2, len(seq)):
-        total *= transition_prob(g, cfg, prev, seq[k - 1], seq[k])
-        prev = seq[k - 1]
-    return float(total)
+    return value
 
 
 def sample_initial_state(g: Graph, cfg: WalkConfig, rng: random.Random) -> int:

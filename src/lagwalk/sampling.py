@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, Es3CoverageError, UnobservedEntryError
 from .graph import Graph, MotifKind, MotifOccurrence, motif_value
-from .kernel import WalkConfig, make_stepper, sample_initial_state, sequence_prob
+from .kernel import WalkConfig, make_stepper, sample_initial_state
 
 # Window length minus one needed to observe each motif kind.
 OBSERVATION_ORDER = {
@@ -316,31 +316,6 @@ def _path_order(provider, nodes: list[int]) -> tuple[int, int, int, int]:
     m2 = next(u for u in inside - {e1, m1} if provider.has_edge(m1, u))
     e2 = (inside - {e1, m1, m2}).pop()
     return e1, m1, m2, e2
-
-
-def incidence_weights(
-    provider,
-    cfg: WalkConfig,
-    obs: MotifObservation,
-    scheme: str = "multiplicity",
-) -> dict[tuple[int, ...], float]:
-    """Weights over the equivalent sequences of an observation, summing to 1.
-
-    "multiplicity" is uniform; "ppw" is proportional to each sequence's
-    stationary probability (computed unnormalised: the common constant
-    cancels).  PPW needs every equivalent sequence to lie inside the
-    observed sample; otherwise :class:`Es3CoverageError` is raised so the
-    caller can fall back to multiplicity weights.
-    """
-    if scheme == "multiplicity":
-        seqs = equivalent_sequences(provider, obs)
-        u = 1.0 / len(seqs)
-        return {s: u for s in seqs}
-    if scheme == "ppw":
-        occ = obs.occurrence
-        return _ppw_weights(provider, occ.kind, occ.nodes, occ.center,
-                            lambda s: sequence_prob(provider, cfg, s).value)
-    raise ConfigError(f"unknown weight scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
 
 
 def _ppw_weights(provider, kind, nodes, center, prob) -> dict[tuple[int, ...], float]:

@@ -168,7 +168,7 @@ def reference_weights(provider, cfg, obs, scheme):
         return {s: u for s in seqs}
     if scheme == "ppw":
         try:
-            probs = {s: sequence_prob(provider, cfg, s).value for s in seqs}
+            probs = {s: sequence_prob(provider, cfg, s) for s in seqs}
         except UnobservedEntryError as exc:
             raise Es3CoverageError(
                 f"ppw needs every equivalent sequence of {set(obs.occurrence.nodes)} "
@@ -190,11 +190,11 @@ def _reference_weight(provider, cfg, obs, scheme, ppw_fallback):
 
 
 def reference_total_window(observations, provider, cfg, scheme="multiplicity", size=None,
-                           size_is_estimate=False, ppw_fallback=False):
+                           ppw_fallback=False):
     if not observations:
         return 0.0, 0
     window = observations[0].sequence
-    pi = sequence_prob(provider, cfg, window, size=size, size_is_estimate=size_is_estimate).value
+    pi = sequence_prob(provider, cfg, window, size=size)
     theta = 0.0
     for obs in observations:
         if obs.sequence != window:
@@ -218,8 +218,7 @@ def reference_total(trace, provider, cfg, kind, scheme="multiplicity", value_mod
                     size=None, size_is_estimate=False, ppw_fallback=False):
     values, flags = [], []
     for obs_list in reference_windows(trace, provider, kind, value_mode):
-        theta_t, ind = reference_total_window(obs_list, provider, cfg, scheme, size,
-                                              size_is_estimate, ppw_fallback)
+        theta_t, ind = reference_total_window(obs_list, provider, cfg, scheme, size, ppw_fallback)
         values.append(theta_t)
         flags.append(ind)
     if sum(flags) == 0:
@@ -242,7 +241,7 @@ def reference_ratio(trace, provider, cfg, kind, numerator_values="product",
         if not obs_list:
             continue
         informative += 1
-        pi = sequence_prob(provider, cfg, obs_list[0].sequence).value
+        pi = sequence_prob(provider, cfg, obs_list[0].sequence)
         for obs in obs_list:
             w = _reference_weight(provider, cfg, obs, scheme, ppw_fallback)
             num += w * mode_value[numerator_values](obs) / pi

@@ -1,5 +1,6 @@
 """Size estimators, window/combined totals, ratio parameters and summaries."""
 
+import functools
 import itertools
 import random
 
@@ -28,6 +29,7 @@ from lagwalk import (
     estimate_total_window,
     replicate_summary,
     run_walk,
+    sequence_prob,
     weighted_mean_degree,
 )
 from lagwalk import LagwalkError, enumerate_motifs
@@ -35,8 +37,8 @@ from lagwalk.sampling import (
     MULTIPLICITY,
     MotifObservation,
     detect_observations,
+    _ppw_weights,
     equivalent_sequences,
-    incidence_weights,
 )
 from helpers import (
     cycle_graph,
@@ -428,12 +430,17 @@ class TestWindowPass:
         for obs in detect_observations(trace, provider, kind):
             windows.setdefault(obs.t, []).append(obs)
         for obs_list in [[], *windows.values()]:
-            args = (obs_list, provider, cfg, scheme, size, size_is_estimate, ppw_fallback)
+            args = (obs_list, provider, cfg, scheme, size, ppw_fallback)
             assert _outcome(estimate_total_window, *args) == _outcome(reference_total_window, *args)
+        prob = functools.partial(sequence_prob, provider, cfg)
         for obs_list in windows.values():
             for obs in obs_list:
-                assert (_outcome(incidence_weights, provider, cfg, obs, scheme)
-                        == _outcome(reference_weights, provider, cfg, obs, scheme))
+                occ = obs.occurrence
+                if scheme == "ppw":
+                    got = _outcome(_ppw_weights, provider, kind, occ.nodes, occ.center, prob)
+                else:
+                    got = dict.fromkeys(equivalent_sequences(provider, obs), 1.0 / MULTIPLICITY[kind])
+                assert got == _outcome(reference_weights, provider, cfg, obs, scheme)
 
     @pytest.mark.parametrize("kind", list(MotifKind))
     def test_multiplicity_counts(self, kind):

@@ -386,6 +386,21 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert "replicates >= 2" in capsys.readouterr().err
 
+    def test_negative_burn_in_exits_2(self, capsys):
+        code = self.run("prevalence", "--nodes", "10", "--cases", "2", "--r", "1", "--w", "1",
+                        "--walk-length", "100", "--burn-in", "-5", "--replicates", "2")
+        assert code == EXIT_CONFIG
+        assert "burn_in=-5 must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_non_finite_r_exits_2(self, r, capsys):
+        code = self.run("prevalence", "--nodes", "10", "--cases", "2", "--r", r, "--w", "1",
+                        "--walk-length", "8", "--replicates", "2")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"jump rate r={r} must be finite" in err
+        assert "Warning" not in err
+
     def test_missing_graph_file_exits_2(self, tmp_path):
         assert self.run("stationary-check", "--graph", str(tmp_path / "none.edges")) == EXIT_CONFIG
 

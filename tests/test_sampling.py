@@ -20,12 +20,14 @@ from lagwalk import (
     equivalent_sequences,
     estimate_ratio,
     estimate_total,
-    incidence_weights,
     run_walk,
+    sequence_prob,
 )
 from lagwalk.sampling import (
+    MULTIPLICITY,
     OBSERVATION_ORDER,
     MotifObservation,
+    _ppw_weights,
     write_sample_graph,
     write_trace_csv,
 )
@@ -242,16 +244,21 @@ class TestEquivalentSequences:
                     assert (obs.occurrence.nodes, obs.occurrence.center) in again
 
 
+def ppw_weights(provider, cfg, obs):
+    occ = obs.occurrence
+    return _ppw_weights(provider, occ.kind, occ.nodes, occ.center,
+                        lambda seq: sequence_prob(provider, cfg, seq))
+
+
 class TestIncidenceWeights:
     def test_triangle_weights_agree(self, k3):
         cfg = WalkConfig(r=1.0, w=1.0)
         trace = make_trace([0, 1], k3)
         obs = detect_observations(trace, k3, MotifKind.TRIANGLE, "ones")[0]
-        for scheme in ("multiplicity", "ppw"):
-            weights = incidence_weights(k3, cfg, obs, scheme)
-            assert len(weights) == 6
-            for v in weights.values():
-                assert v == pytest.approx(1 / 6, abs=1e-12)
+        weights = ppw_weights(k3, cfg, obs)
+        assert len(weights) == MULTIPLICITY[MotifKind.TRIANGLE] == 6
+        for v in weights.values():
+            assert v == pytest.approx(1 / 6, abs=1e-12)
 
     def test_weights_sum_to_one(self, figure_graph):
         g = figure_graph
@@ -259,16 +266,18 @@ class TestIncidenceWeights:
         trace = run_walk(g, WalkConfig(r=1.0, w=1.0, walk_length=40), random.Random(9))
         for kind in MotifKind:
             for obs in detect_observations(trace, g, kind, "ones")[:20]:
-                for scheme in ("multiplicity", "ppw"):
-                    weights = incidence_weights(g, cfg, obs, scheme)
-                    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
-                    assert obs.sequence in weights
+                seqs = equivalent_sequences(g, obs)
+                assert obs.sequence in seqs
+                assert len(seqs) == MULTIPLICITY[kind]
+                weights = ppw_weights(g, cfg, obs)
+                assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+                assert set(weights) == set(seqs)
 
     def test_equal_degree_cycle_ppw_is_uniform(self, c4):
         cfg = WalkConfig(r=1.0, w=1.0)
         trace = make_trace([0, 1, 2], c4)
         obs = detect_observations(trace, c4, MotifKind.FOUR_CYCLE, "ones")[0]
-        weights = incidence_weights(c4, cfg, obs, "ppw")
+        weights = ppw_weights(c4, cfg, obs)
         assert all(v == pytest.approx(1 / 8, abs=1e-12) for v in weights.values())
 
     def test_unequal_degree_cycle_ppw_differs(self):
@@ -276,7 +285,7 @@ class TestIncidenceWeights:
         cfg = WalkConfig(r=1.0, w=1.0)
         trace = make_trace([0, 1, 2], g)
         obs = detect_observations(trace, g, MotifKind.FOUR_CYCLE, "ones")[0]
-        weights = incidence_weights(g, cfg, obs, "ppw")
+        weights = ppw_weights(g, cfg, obs)
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
         spread = {round(v, 12) for v in weights.values()}
         assert len(spread) > 1
@@ -290,16 +299,17 @@ class TestIncidenceWeights:
         sg = build_sample_graph(k3, trace)  # node 2 observed but never visited
         obs = detect_observations(trace, sg, MotifKind.TRIANGLE, "ones")[0]
         with pytest.raises(Es3CoverageError):
-            incidence_weights(sg, cfg, obs, "ppw")
-        # multiplicity still fine
-        weights = incidence_weights(sg, cfg, obs, "multiplicity")
-        assert sum(weights.values()) == pytest.approx(1.0)
+            ppw_weights(sg, cfg, obs)
+        # multiplicity weights need only the equivalent sequences
+        assert len(equivalent_sequences(sg, obs)) == MULTIPLICITY[MotifKind.TRIANGLE]
 
     def test_unknown_scheme(self, k3):
         trace = make_trace([0, 1], k3)
-        obs = detect_observations(trace, k3, MotifKind.TRIANGLE, "ones")[0]
-        with pytest.raises(ConfigError):
-            incidence_weights(k3, WalkConfig(r=1.0), obs, "bogus")
+        cfg = WalkConfig(r=1.0)
+        with pytest.raises(ConfigError, match="unknown weight scheme"):
+            estimate_total(trace, k3, cfg, MotifKind.TRIANGLE, "bogus")
+        with pytest.raises(ConfigError, match="unknown weight scheme"):
+            estimate_ratio(trace, k3, cfg, MotifKind.TRIANGLE, "ones", "ones", "bogus")
 
 
 class TestObservabilityAudit:
@@ -326,15 +336,13 @@ class TestSequenceFamilies:
     def test_walk_windows_always_computable(self, figure_graph):
         """Every contiguous run of the walk has a probability computable
         from the observed sample alone."""
-        from lagwalk import sequence_prob
-
         cfg = WalkConfig(r=0.8, w=0.4, walk_length=25)
         trace = run_walk(figure_graph, cfg, random.Random(2))
         sg = build_sample_graph(figure_graph, trace)
         for q in (0, 1, 2):
             for t, window in trace.contiguous_windows(q):
                 assert sg.covers(window)
-                assert sequence_prob(sg, cfg, window).value > 0
+                assert sequence_prob(sg, cfg, window) > 0
 
     def test_covers_is_seed_membership(self, figure_graph):
         trace = make_trace([0, 1, 2], figure_graph)
