@@ -399,6 +399,19 @@ class TestMarginalAtT:
             marginal_at_t(path5, cfg, np.array([0.9, 0.2, 0, 0, -0.1]), 1)
 
 
+def integrated_sequence_prob(g, cfg, seq):
+    """Equilibrium probability of a mid-walk sequence with the first state's
+    predecessor integrated out against the solved pair-chain law."""
+    n = g.n
+    pair = stationary_pair(build_pair_chain(g, cfg)).reshape(n, n)
+    if len(seq) == 1:
+        return float(pair[:, seq[0]].sum())
+    total = sum(pair[i, seq[0]] * transition_prob(g, cfg, i, seq[0], seq[1]) for i in range(n))
+    for k in range(2, len(seq)):
+        total *= transition_prob(g, cfg, seq[k - 2], seq[k - 1], seq[k])
+    return float(total)
+
+
 class TestSequenceProb:
     def test_k3_adjacent_pair(self, k3):
         cfg = WalkConfig(r=1.0, w=1.0)
@@ -437,6 +450,37 @@ class TestSequenceProb:
         with pytest.raises(ConfigError):
             sequence_prob(path5, WalkConfig(r=1.0), ())
 
+    def test_exact_matches_product_for_pairs(self):
+        g = random_graph(7, 0.4, seed=4)
+        cfg = WalkConfig(r=0.6, w=0.2)
+        for seq in [(0, 1), (2, 5), (3, 3)]:
+            exact = integrated_sequence_prob(g, cfg, seq)
+            product = sequence_prob(g, cfg, seq, size=g.edge_count)
+            assert exact == pytest.approx(product, rel=1e-10)
+        # single state: marginal
+        assert integrated_sequence_prob(g, cfg, (2,)) == pytest.approx(
+            stationary_node(g, cfg)[2], rel=1e-10
+        )
+
+    def test_exact_matches_product_for_markov_case(self):
+        g = random_graph(7, 0.4, seed=4)
+        cfg = WalkConfig(r=0.6, w=1.0)
+        seq = (0, 1, 2)
+        exact = integrated_sequence_prob(g, cfg, seq)
+        product = sequence_prob(g, cfg, seq, size=g.edge_count)
+        assert exact == pytest.approx(product, rel=1e-10)
+
+    def test_history_discrepancy_is_measurable_for_low_w(self):
+        g = random_graph(7, 0.4, seed=4)
+        cfg = WalkConfig(r=0.6, w=0.1)
+        seq = (0, 1, 2)
+        exact = integrated_sequence_prob(g, cfg, seq)
+        product = sequence_prob(g, cfg, seq, size=g.edge_count)
+        assert exact > 0 and product > 0
+        assert abs(exact - product) / product < 0.25
+        # the pair law factorises, so the measured discrepancy is solver noise
+        assert exact == pytest.approx(product, rel=1e-9)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         data=st.data(),
@@ -453,7 +497,6 @@ class TestSequenceProb:
         g = Graph(n_core + 2, edges + [(0, n_core)])
         cfg = WalkConfig(r=r, w=w)
         n = g.n
-        pair = stationary_pair(build_pair_chain(g, cfg)).reshape(n, n)
         const = 2 * g.edge_count + r * n
         for length in range(1, 5):
             seq = [data.draw(st.integers(0, n - 1))]
@@ -464,16 +507,11 @@ class TestSequenceProb:
                 seq.append(data.draw(st.sampled_from(nbrs) if along_edge else st.integers(0, n - 1)))
             got = sequence_prob(g, cfg, seq, size=g.edge_count)
             if length == 1:
-                expected = float(pair[:, seq[0]].sum())
                 assert got == pytest.approx((g.degree(seq[0]) + r) / const, rel=1e-12)
-            else:
-                expected = sum(pair[i, seq[0]] * transition_prob(g, cfg, i, seq[0], seq[1])
-                               for i in range(n))
-                for k in range(2, length):
-                    expected *= transition_prob(g, cfg, seq[k - 2], seq[k - 1], seq[k])
             if length == 2:
                 adjacent = 1.0 if g.has_edge(*seq) else 0.0
                 assert got == pytest.approx((adjacent + r / n) / const, rel=1e-12)
+            expected = integrated_sequence_prob(g, cfg, seq)
             assert got == pytest.approx(expected, rel=1e-9, abs=0)
 
 
