@@ -13,27 +13,33 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError, LagwalkError, NonErgodicError, ObservationFailureError
 from .experiments import (
     EXPERIMENTS,
+    NORMALIZATIONS,
+    SIZE_ESTIMATORS,
     CampaignConfig,
     render_csv,
     run_campaign,
 )
 from .graph import MotifKind
+from .sampling import WEIGHT_SCHEMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NON_ERGODIC = 3
 EXIT_NO_OBSERVATIONS = 4
 
+# Per-experiment values that differ from the CampaignConfig defaults.
 _DEFAULTS = {
-    "stationary-check": dict(r="0.1 1 6", w="0 0.5 1", walk_length="1", replicates=1),
-    "convergence": dict(r="1 0.1", w="1", walk_length="16", replicates=100_000),
-    "prevalence": dict(r="0.1 6", w="1 0.01", walk_length="50 100", replicates=1000),
-    "size": dict(r="0.1 6", w="1 0.01", walk_length="50 100", replicates=10_000),
-    "motif-total": dict(r="0.1 6", w="1 0.01", walk_length="50 100", replicates=10_000),
+    "stationary-check": dict(r_values=(0.1, 1.0, 6.0), w_values=(0.0, 0.5, 1.0), lengths=(1,),
+                             replicates=1),
+    "convergence": dict(r_values=(1.0, 0.1), w_values=(1.0,), lengths=(16,), replicates=100_000),
+    "prevalence": {},
+    "size": dict(replicates=10_000),
+    "motif-total": dict(replicates=10_000),
 }
 
 
@@ -51,6 +57,76 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+def _init(text: str) -> tuple[str, int | None]:
+    """(init, init_node) from "stationary", "uniform" or "fixed:<node id>"."""
+    if not text.startswith("fixed"):
+        return text, None
+    try:
+        return "fixed", int(text.partition(":")[2])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"fixed init needs a node id, e.g. fixed:0, "
+                                         f"not {text!r}") from None
+
+
+def _estimators(text: str) -> tuple[str, ...]:
+    return SIZE_ESTIMATORS if text == "all" else (text,)
+
+
+def _switch(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("expected true or false")
+    return word in ("1", "true", "yes")
+
+
+class _Setting(NamedTuple):
+    """One CLI setting: its flag sets the CampaignConfig ``field``.
+
+    The config-file key is the flag name without its leading dashes, and its
+    value goes through the same ``type``.  A ``type`` of None marks a switch
+    that sets ``field`` to None.  ``choices`` only label the flag in --help:
+    the type or CampaignConfig checks the value, for flags and files alike.
+    """
+
+    flag: str
+    field: str
+    type: Callable | None = str
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+# Every setting but --config, keyed by its config-file key.
+_SETTINGS = {s.flag[2:].replace("-", "_"): s for s in (
+    _Setting("--graph", "graph_path", help="edge-list file to load"),
+    _Setting("--generate", "graph_path", None,
+             help="generate the core-periphery graph (default; overrides a config file's graph)"),
+    _Setting("--nodes", "n_nodes", int),
+    _Setting("--cases", "n_cases", int),
+    _Setting("--p-cc", "p_case_case", float, help="case-case edge probability"),
+    _Setting("--p-cn", "p_case_noncase", float, help="case-noncase edge probability"),
+    _Setting("--p-nn", "p_noncase_noncase", float, help="noncase-noncase edge probability"),
+    _Setting("--graph-seed", "graph_seed", int,
+             help="generation seed (frozen default regenerates the demo graph)"),
+    _Setting("--r", "r_values", _float_list, help="jump-rate grid"),
+    _Setting("--w", "w_values", _float_list, help="backtracking-weight grid"),
+    _Setting("--walk-length", "lengths", _int_list,
+             help="walk-length grid (states extracted per walk for `size`)"),
+    _Setting("--replicates", "replicates", int),
+    _Setting("--replicates-ratio", "replicates_ratio", int,
+             help="replicates for the ratio campaign of motif-total"),
+    _Setting("--seed", "seed", int, help="master seed"),
+    _Setting("--init", "init", _init, help="stationary | uniform | fixed:<node id>"),
+    _Setting("--burn-in", "burn_in", int),
+    _Setting("--estimator", "estimators", _estimators, SIZE_ESTIMATORS + ("all",)),
+    _Setting("--motif", "motif", MotifKind, tuple(k.value for k in MotifKind)),
+    _Setting("--weights", "weights", str, WEIGHT_SCHEMES),
+    _Setting("--normalization", "normalization", str, NORMALIZATIONS),
+    _Setting("--out", "out", help="CSV output path (default stdout)"),
+    _Setting("--jobs", "jobs", int, help="parallel worker processes"),
+    _Setting("--max-failure-rate", "max_failure_rate", float),
+)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagwalk",
@@ -58,38 +134,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} campaign")
+        # unset flags stay off the namespace, so make_config sees only what was given
+        p = sub.add_parser(name, help=f"run the {name} campaign",
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="plain-text key=value config file")
         src = p.add_mutually_exclusive_group()
-        src.add_argument("--graph", help="edge-list file to load")
-        src.add_argument("--generate", action="store_true",
-                         help="generate the core-periphery graph (default)")
-        p.add_argument("--nodes", type=int, default=None)
-        p.add_argument("--cases", type=int, default=None)
-        p.add_argument("--p-cc", type=float, default=None, help="case-case edge probability")
-        p.add_argument("--p-cn", type=float, default=None, help="case-noncase edge probability")
-        p.add_argument("--p-nn", type=float, default=None, help="noncase-noncase edge probability")
-        p.add_argument("--graph-seed", type=int, default=None,
-                       help="generation seed (frozen default regenerates the demo graph)")
-        p.add_argument("--r", type=_float_list, default=None, help="jump-rate grid")
-        p.add_argument("--w", type=_float_list, default=None, help="backtracking-weight grid")
-        p.add_argument("--walk-length", type=_int_list, default=None,
-                       help="walk-length grid (states extracted per walk for `size`)")
-        p.add_argument("--replicates", type=int, default=None)
-        p.add_argument("--replicates-ratio", type=int, default=None,
-                       help="replicates for the ratio campaign of motif-total")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--init", default=None,
-                       help="stationary | uniform | fixed:<node id>")
-        p.add_argument("--burn-in", type=int, default=None)
-        p.add_argument("--estimator", default=None, choices=["cr", "gr", "grcr", "all"])
-        p.add_argument("--motif", default=None,
-                       choices=[k.value for k in MotifKind])
-        p.add_argument("--weights", default=None, choices=["multiplicity", "ppw"])
-        p.add_argument("--normalization", default=None, choices=["exact", "estimated"])
-        p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-        p.add_argument("--jobs", type=int, default=None, help="parallel worker processes")
-        p.add_argument("--max-failure-rate", type=float, default=None)
+        for key, s in _SETTINGS.items():
+            target = src if s.field == "graph_path" else p
+            if s.type is None:
+                target.add_argument(s.flag, dest=s.field, action="store_const", const=None,
+                                    help=s.help)
+                continue
+            metavar = "{%s}" % ",".join(s.choices) if s.choices else key.upper()
+            target.add_argument(s.flag, dest=s.field, type=s.type, metavar=metavar, help=s.help)
     return parser
 
 
@@ -111,98 +168,41 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-_FILE_KEYS = {
-    "graph": str, "generate": bool, "nodes": int, "cases": int,
-    "p_cc": float, "p_cn": float, "p_nn": float, "graph_seed": int,
-    "r": _float_list, "w": _float_list, "walk_length": _int_list,
-    "replicates": int, "replicates_ratio": int, "seed": int, "init": str,
-    "burn_in": int, "estimator": str, "motif": str, "weights": str,
-    "normalization": str, "out": str, "jobs": int, "max_failure_rate": float,
-}
-
-
-def _coerce_file_values(raw: dict[str, str]) -> dict:
+def _file_values(raw: dict[str, str]) -> dict:
+    """CampaignConfig fields from config-file text, typed as their flags are."""
     out = {}
     for key, text in raw.items():
-        if key not in _FILE_KEYS:
+        setting = _SETTINGS.get(key)
+        if setting is None:
             raise ConfigError(f"unknown config key {key!r}")
-        typ = _FILE_KEYS[key]
         try:
-            if typ is bool:
-                out[key] = text.lower() in ("1", "true", "yes")
+            if setting.type is None:
+                if not _switch(text):
+                    continue
+                value = None
             else:
-                out[key] = typ(text)
+                value = setting.type(text)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"config key {key!r}: bad value {text!r} ({exc})") from exc
+        if setting.field in out:
+            raise ConfigError(f"config key {key!r} sets {setting.field}, "
+                              "already set by an earlier key")
+        out[setting.field] = value
     return out
 
 
-def _pick(args: argparse.Namespace, file_values: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None and flag is not False:
-        return flag
-    if key in file_values:
-        return file_values[key]
-    return default
-
-
 def make_config(args: argparse.Namespace) -> CampaignConfig:
-    file_values = _coerce_file_values(read_config_file(args.config)) if args.config else {}
-    exp = args.experiment
-    defaults = _DEFAULTS[exp]
-    init_text = _pick(args, file_values, "init", "stationary")
-    init_node = None
-    if init_text.startswith("fixed"):
-        init, _, node_text = init_text.partition(":")
-        if not node_text:
-            raise ConfigError("fixed init needs a node id, e.g. --init fixed:0")
-        try:
-            init_node = int(node_text)
-        except ValueError as exc:
-            raise ConfigError(f"bad fixed-init node id {node_text!r}") from exc
-        init = "fixed"
-    else:
-        init = init_text
-    estimator = _pick(args, file_values, "estimator", "all")
-    estimators = ("cr", "gr", "grcr") if estimator == "all" else (estimator,)
-    motif_text = _pick(args, file_values, "motif", "triangle")
-    try:
-        motif = MotifKind(motif_text)
-    except ValueError as exc:
-        raise ConfigError(f"unknown motif {motif_text!r}") from exc
-    replicates = _pick(args, file_values, "replicates", defaults["replicates"])
-    # an explicit --init narrows the convergence campaign to that start mode
-    if exp == "convergence" and _pick(args, file_values, "init", None) is not None:
-        convergence_inits = (init,)
-    else:
-        convergence_inits = CampaignConfig.convergence_inits
-    return CampaignConfig(
-        convergence_inits=convergence_inits,
-        experiment=exp,
-        graph_path=_pick(args, file_values, "graph", None),
-        n_nodes=_pick(args, file_values, "nodes", 100),
-        n_cases=_pick(args, file_values, "cases", 20),
-        p_case_case=_pick(args, file_values, "p_cc", CampaignConfig.p_case_case),
-        p_case_noncase=_pick(args, file_values, "p_cn", CampaignConfig.p_case_noncase),
-        p_noncase_noncase=_pick(args, file_values, "p_nn", CampaignConfig.p_noncase_noncase),
-        graph_seed=_pick(args, file_values, "graph_seed", CampaignConfig.graph_seed),
-        r_values=_pick(args, file_values, "r", _float_list(defaults["r"])),
-        w_values=_pick(args, file_values, "w", _float_list(defaults["w"])),
-        lengths=_pick(args, file_values, "walk_length", _int_list(defaults["walk_length"])),
-        replicates=replicates,
-        replicates_ratio=_pick(args, file_values, "replicates_ratio", 1000),
-        seed=_pick(args, file_values, "seed", 1),
-        init=init,
-        init_node=init_node,
-        burn_in=_pick(args, file_values, "burn_in", None),
-        estimators=estimators,
-        motif=motif,
-        weights=_pick(args, file_values, "weights", "multiplicity"),
-        normalization=_pick(args, file_values, "normalization", "estimated"),
-        out=_pick(args, file_values, "out", None),
-        jobs=_pick(args, file_values, "jobs", 1),
-        max_failure_rate=_pick(args, file_values, "max_failure_rate", 0.1),
-    )
+    """Merge the experiment's defaults, then the config file, then the flags."""
+    given = vars(args).copy()
+    exp = given.pop("experiment")
+    path = given.pop("config", None)
+    values = {**_DEFAULTS[exp], **(_file_values(read_config_file(path)) if path else {}), **given}
+    if "init" in values:
+        values["init"], values["init_node"] = values["init"]
+        # an explicit init narrows the convergence campaign to that start mode
+        if exp == "convergence":
+            values["convergence_inits"] = (values["init"],)
+    return CampaignConfig(experiment=exp, **values)
 
 
 def main(argv: list[str] | None = None) -> int:

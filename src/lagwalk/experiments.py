@@ -51,9 +51,11 @@ from .kernel import (
     stationary_node,
     stationary_pair,
 )
-from .sampling import build_sample_graph, run_walk
+from .sampling import WEIGHT_SCHEMES, build_sample_graph, run_walk
 
 EXPERIMENTS = ("stationary-check", "convergence", "prevalence", "size", "motif-total")
+SIZE_ESTIMATORS = ("cr", "gr", "grcr")
+NORMALIZATIONS = ("exact", "estimated")
 _EXPERIMENT_IDS = {name: i for i, name in enumerate(EXPERIMENTS)}
 
 # Stream tags inside one replicate.
@@ -84,7 +86,7 @@ class CampaignConfig:
     init: str = "stationary"
     init_node: int | None = None
     burn_in: int | None = None
-    estimators: tuple[str, ...] = ("cr", "gr", "grcr")
+    estimators: tuple[str, ...] = SIZE_ESTIMATORS
     motif: MotifKind = MotifKind.TRIANGLE
     weights: str = "multiplicity"
     normalization: str = "estimated"
@@ -106,6 +108,16 @@ class CampaignConfig:
             raise ConfigError("motif-total reports an SD and needs replicates_ratio >= 2")
         if not self.r_values or not self.w_values or not self.lengths:
             raise ConfigError("r, w and length grids must be nonempty")
+        if self.experiment == "size" and min(self.lengths) < 1:
+            raise ConfigError(f"size walk length {min(self.lengths)} must be >= 1: "
+                              "it counts the states extracted per walk")
+        for name, value, allowed in (("weights", self.weights, WEIGHT_SCHEMES),
+                                     ("normalization", self.normalization, NORMALIZATIONS),
+                                     *(("estimator", e, SIZE_ESTIMATORS) for e in self.estimators)):
+            if value not in allowed:
+                raise ConfigError(f"unknown {name} {value!r}; expected one of {allowed}")
+        if self.graph_seed < 0:
+            raise ConfigError(f"graph_seed={self.graph_seed} must be >= 0")
         if self.burn_in is not None and self.burn_in < 0:
             raise ConfigError(f"burn_in={self.burn_in} must be >= 0")
         if self.jobs < 1:
@@ -395,6 +407,7 @@ SIZE_COLUMNS = COMMON_COLUMNS + (
 
 def _size_rep(graph: Graph, wcfg: WalkConfig, burn_in: int,
               master: int, cell: int, k: int) -> tuple[float, float, float, float]:
+    """The SIZE_ESTIMATORS estimates in that order, then 1.0 if the CR one is negative."""
     rng_x = replicate_rng(master, "size", cell, k, _STREAM_X)
     rng_y = replicate_rng(master, "size", cell, k, _STREAM_Y)
     trace_x = _analysis_trace(graph, wcfg, burn_in, rng_x)
@@ -421,14 +434,13 @@ def run_size(cfg: CampaignConfig, graph: Graph | None = None) -> list[dict]:
     common = _common_columns(cfg, graph)
     burn = cfg.effective_burn_in()
     rows = []
-    column_of = {"cr": 0, "gr": 1, "grcr": 2}
     for cell, (n_states, r, w) in enumerate(_grid(cfg)):
         wcfg = _walk_config(cfg, r, w, n_states - 1)
         worker = functools.partial(_size_rep, graph, wcfg, burn, cfg.seed, cell)
         values = np.asarray(_run_indexed(worker, cfg.replicates, cfg.jobs))
         collision_failures = float(np.mean(np.isnan(values[:, 0])))
         for name in cfg.estimators:
-            col = values[:, column_of[name]]
+            col = values[:, SIZE_ESTIMATORS.index(name)]
             ok = col[~np.isnan(col)]
             rows.append({
                 **common,

@@ -45,20 +45,6 @@ class MotifKind(str, Enum):
     FOUR_CYCLE = "four-cycle"
     THREE_PATH = "three-path"
 
-    @property
-    def order(self) -> int:
-        return _MOTIF_ORDER[self]
-
-
-_MOTIF_ORDER = {
-    MotifKind.NODE: 1,
-    MotifKind.EDGE: 2,
-    MotifKind.TWO_STAR: 3,
-    MotifKind.TRIANGLE: 3,
-    MotifKind.FOUR_CYCLE: 4,
-    MotifKind.THREE_PATH: 4,
-}
-
 
 @dataclass(frozen=True)
 class MotifOccurrence:

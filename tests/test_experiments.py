@@ -22,11 +22,14 @@ from lagwalk import (
 )
 from lagwalk import experiments
 from lagwalk.cli import (
+    _SETTINGS,
     EXIT_CONFIG,
     EXIT_NO_OBSERVATIONS,
     EXIT_NON_ERGODIC,
     EXIT_OK,
+    build_parser,
     main,
+    make_config,
     read_config_file,
 )
 from lagwalk.errors import ObservationFailureError
@@ -283,6 +286,16 @@ class TestConfigValidation:
     def test_stationary_check_accepts_one_replicate(self):
         assert small_cfg(experiment="stationary-check", replicates=1).replicates == 1
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("estimators", ("cr", "foo"), "unknown estimator 'foo'"),
+        ("weights", "bogus", "unknown weights 'bogus'"),
+        ("normalization", "bogus", "unknown normalization 'bogus'"),
+        ("graph_seed", -1, "graph_seed=-1 must be >= 0"),
+    ])
+    def test_bad_value_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            small_cfg(**{field: value})
+
     def test_burn_in_defaults(self):
         assert small_cfg().effective_burn_in() == 0
         assert small_cfg(init="uniform").effective_burn_in() == 16
@@ -450,6 +463,51 @@ class TestCli:
         assert self.run("prevalence", "--config", str(unknown)) == EXIT_CONFIG
         assert self.run("prevalence", "--config", str(tmp_path / "missing.cfg")) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("experiment, text, message", [
+        ("size", "estimator = foo", "unknown estimator 'foo'"),
+        ("prevalence", "weights = bogus", "unknown weights 'bogus'"),
+        ("motif-total", "normalization = bogus", "unknown normalization 'bogus'"),
+        ("prevalence", "generate = maybe", "bad value 'maybe'"),
+        ("prevalence", "graph = g.edges\ngenerate = true", "already set by an earlier key"),
+    ])
+    def test_bad_config_file_value_exits_2_before_any_walk(self, tmp_path, capsys, monkeypatch,
+                                                            experiment, text, message):
+        def no_walk(*args):
+            raise AssertionError("a walk ran")
+
+        monkeypatch.setattr(experiments, "run_walk", no_walk)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text + "\n")
+        code = self.run(experiment, "--config", str(cfgfile), "--nodes", "10", "--cases", "2",
+                        "--r", "1", "--w", "1", "--walk-length", "8", "--replicates", "2",
+                        "--replicates-ratio", "2")
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_generate_overrides_config_file_graph(self, tmp_path):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"graph = {tmp_path / 'missing.edges'}\n")
+        out = tmp_path / "out.csv"
+        code = self.run("prevalence", "--config", str(cfgfile), "--generate", "--nodes", "10",
+                        "--cases", "2", "--r", "1", "--w", "1", "--walk-length", "8",
+                        "--replicates", "2", "--out", str(out))
+        assert code == EXIT_OK
+        (row,) = csv.DictReader(io.StringIO(out.read_text()))
+        assert row["graph"] == "generated"
+
+    def test_negative_graph_seed_exits_2(self, capsys):
+        code = self.run("prevalence", "--graph-seed", "-1", "--replicates", "2",
+                        "--walk-length", "5")
+        assert code == EXIT_CONFIG
+        assert "graph_seed=-1 must be >= 0" in capsys.readouterr().err
+
+    def test_size_walk_length_below_one_exits_2(self, capsys):
+        code = self.run("size", "--walk-length", "5 0", "--replicates", "2")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "size walk length 0 must be >= 1" in err
+        assert "states extracted per walk" in err
+
     def test_read_config_file_parsing(self, tmp_path):
         f = tmp_path / "c.cfg"
         f.write_text("walk-length = 10 20  # trailing comment\nweights = ppw\n")
@@ -464,6 +522,33 @@ class TestCli:
         assert code == EXIT_OK
         assert "fixed:3" in out.read_text()
         assert self.run("prevalence", "--init", "fixed") == EXIT_CONFIG
+
+
+# A value for every flag of the settings table, unlike every experiment's default.
+FLAG_VALUES = {
+    "--graph": "g.edges", "--generate": None, "--nodes": "15", "--cases": "4", "--p-cc": "0.3",
+    "--p-cn": "0.2", "--p-nn": "0.05", "--graph-seed": "4", "--r": "0.5, 2", "--w": "0 0.3",
+    "--walk-length": "8 9", "--replicates": "3", "--replicates-ratio": "5", "--seed": "2",
+    "--init": "fixed:1", "--burn-in": "2", "--estimator": "gr", "--motif": "edge",
+    "--weights": "ppw", "--normalization": "exact", "--out": "o.csv", "--jobs": "3",
+    "--max-failure-rate": "0.3",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_SETTINGS))
+def test_config_file_key_matches_flag(tmp_path, key):
+    """Setting a value in a config file gives the config the flag gives."""
+    flag = _SETTINGS[key].flag
+    value = FLAG_VALUES[flag]
+    flag_args = [flag] if value is None else [flag, value]
+    cfgfile = tmp_path / "one.cfg"
+    cfgfile.write_text(f"{flag[2:]} = {'true' if value is None else value}\n")
+    for experiment in experiments.EXPERIMENTS:
+        by_flag = make_config(build_parser().parse_args([experiment, *flag_args]))
+        by_file = make_config(build_parser().parse_args([experiment, "--config", str(cfgfile)]))
+        assert by_file == by_flag
+        if value is not None:
+            assert by_flag != make_config(build_parser().parse_args([experiment]))
 
 
 class TestMonotoneInformation:
