@@ -3,7 +3,7 @@
 Subcommands: stationary-check | convergence | prevalence | size | motif-total.
 A plain-text config file ("key = value" lines, # comments, keys matching the
 long flag names with - or _) can supply any flag; flags given on the command
-line override file values.
+line override file values.  A flag or key the campaign does not read exits 2.
 
 Exit codes: 0 success, 2 configuration error, 3 non-ergodic walk
 configuration, 4 no-observation failure rate above the threshold.
@@ -34,27 +34,22 @@ EXIT_NO_OBSERVATIONS = 4
 
 # Per-experiment values that differ from the CampaignConfig defaults.
 _DEFAULTS = {
-    "stationary-check": dict(r_values=(0.1, 1.0, 6.0), w_values=(0.0, 0.5, 1.0), lengths=(1,),
-                             replicates=1),
-    "convergence": dict(r_values=(1.0, 0.1), w_values=(1.0,), lengths=(16,), replicates=100_000),
-    "prevalence": {},
+    "stationary-check": dict(r_values=(0.1, 1.0, 6.0), w_values=(0.0, 0.5, 1.0)),
+    "convergence": dict(r_values=(1.0, 0.1), w_values=(1.0,), replicates=100_000),
     "size": dict(replicates=10_000),
     "motif-total": dict(replicates=10_000),
 }
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise argparse.ArgumentTypeError("empty list")
-    return tuple(float(p) for p in parts)
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise argparse.ArgumentTypeError("empty list")
-    return tuple(int(p) for p in parts)
+def _list_of(kind: type) -> Callable[[str], tuple]:
+    """Parser of a space- or comma-separated list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        parts = text.replace(",", " ").split()
+        if not parts:
+            raise argparse.ArgumentTypeError("empty list")
+        return tuple(kind(p) for p in parts)
+    parse.__name__ = f"{kind.__name__} list"  # argparse names it in "invalid ... value"
+    return parse
 
 
 def _init(text: str) -> tuple[str, int | None]:
@@ -79,6 +74,12 @@ def _switch(text: str) -> bool:
     return word in ("1", "true", "yes")
 
 
+# Who reads a setting besides every experiment: the experiments that walk, and
+# those that walk a (T, r, w) grid and can fail to observe.
+_WALKS = ("convergence", "prevalence", "size", "motif-total")
+_GRID = ("prevalence", "size", "motif-total")
+
+
 class _Setting(NamedTuple):
     """One CLI setting: its flag sets the CampaignConfig ``field``.
 
@@ -86,6 +87,7 @@ class _Setting(NamedTuple):
     value goes through the same ``type``.  A ``type`` of None marks a switch
     that sets ``field`` to None.  ``choices`` only label the flag in --help:
     the type or CampaignConfig checks the value, for flags and files alike.
+    Only the experiments in ``reads`` accept the flag or the key.
     """
 
     flag: str
@@ -93,6 +95,7 @@ class _Setting(NamedTuple):
     type: Callable | None = str
     choices: tuple[str, ...] | None = None
     help: str | None = None
+    reads: tuple[str, ...] = EXPERIMENTS
 
 
 # Every setting but --config, keyed by its config-file key.
@@ -107,24 +110,37 @@ _SETTINGS = {s.flag[2:].replace("-", "_"): s for s in (
     _Setting("--p-nn", "p_noncase_noncase", float, help="noncase-noncase edge probability"),
     _Setting("--graph-seed", "graph_seed", int,
              help="generation seed (frozen default regenerates the demo graph)"),
-    _Setting("--r", "r_values", _float_list, help="jump-rate grid"),
-    _Setting("--w", "w_values", _float_list, help="backtracking-weight grid"),
-    _Setting("--walk-length", "lengths", _int_list,
-             help="walk-length grid (states extracted per walk for `size`)"),
-    _Setting("--replicates", "replicates", int),
+    _Setting("--r", "r_values", _list_of(float), help="jump-rate grid"),
+    _Setting("--w", "w_values", _list_of(float), help="backtracking-weight grid"),
+    _Setting("--walk-length", "lengths", _list_of(int),
+             help="walk-length grid (states extracted per walk for `size`)", reads=_GRID),
+    _Setting("--replicates", "replicates", int, reads=_WALKS),
     _Setting("--replicates-ratio", "replicates_ratio", int,
-             help="replicates for the ratio campaign of motif-total"),
+             help="replicates for the ratio campaign of motif-total", reads=("motif-total",)),
     _Setting("--seed", "seed", int, help="master seed"),
-    _Setting("--init", "init", _init, help="stationary | uniform | fixed:<node id>"),
-    _Setting("--burn-in", "burn_in", int),
-    _Setting("--estimator", "estimators", _estimators, SIZE_ESTIMATORS + ("all",)),
-    _Setting("--motif", "motif", MotifKind, tuple(k.value for k in MotifKind)),
-    _Setting("--weights", "weights", str, WEIGHT_SCHEMES),
-    _Setting("--normalization", "normalization", str, NORMALIZATIONS),
+    _Setting("--init", "init", _init, help="stationary | uniform | fixed:<node id>", reads=_WALKS),
+    _Setting("--burn-in", "burn_in", int, reads=_GRID),
+    _Setting("--estimator", "estimators", _estimators, SIZE_ESTIMATORS + ("all",), reads=("size",)),
+    _Setting("--motif", "motif", MotifKind, tuple(MotifKind), reads=("motif-total",)),
+    _Setting("--weights", "weights", str, WEIGHT_SCHEMES, reads=("prevalence", "motif-total")),
+    _Setting("--normalization", "normalization", str, NORMALIZATIONS, reads=("motif-total",)),
     _Setting("--out", "out", help="CSV output path (default stdout)"),
     _Setting("--jobs", "jobs", int, help="parallel worker processes"),
-    _Setting("--max-failure-rate", "max_failure_rate", float),
+    _Setting("--max-failure-rate", "max_failure_rate", float, reads=_GRID),
 )}
+
+# Settings of the graph generator, which a loaded graph leaves unread.
+_GENERATOR = ("nodes", "cases", "p_cc", "p_cn", "p_nn", "graph_seed")
+
+
+class _ExperimentParser(argparse.ArgumentParser):
+    """A subcommand parser that names its experiment when it meets a flag it does not read."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lagwalk",
         description="Lagged random-walk sampling experiments on simple undirected graphs.",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
+    sub = parser.add_subparsers(dest="experiment", required=True, parser_class=_ExperimentParser)
     for name in EXPERIMENTS:
         # unset flags stay off the namespace, so make_config sees only what was given
         p = sub.add_parser(name, help=f"run the {name} campaign",
@@ -140,6 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="plain-text key=value config file")
         src = p.add_mutually_exclusive_group()
         for key, s in _SETTINGS.items():
+            if name not in s.reads:
+                continue
             target = src if s.field == "graph_path" else p
             if s.type is None:
                 target.add_argument(s.flag, dest=s.field, action="store_const", const=None,
@@ -168,13 +186,15 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _file_values(raw: dict[str, str]) -> dict:
+def _file_values(raw: dict[str, str], experiment: str) -> dict:
     """CampaignConfig fields from config-file text, typed as their flags are."""
     out = {}
     for key, text in raw.items():
         setting = _SETTINGS.get(key)
         if setting is None:
             raise ConfigError(f"unknown config key {key!r}")
+        if experiment not in setting.reads:
+            raise ConfigError(f"config key {key!r} is not read by {experiment}")
         try:
             if setting.type is None:
                 if not _switch(text):
@@ -193,10 +213,15 @@ def _file_values(raw: dict[str, str]) -> dict:
 
 def make_config(args: argparse.Namespace) -> CampaignConfig:
     """Merge the experiment's defaults, then the config file, then the flags."""
-    given = vars(args).copy()
-    exp = given.pop("experiment")
-    path = given.pop("config", None)
-    values = {**_DEFAULTS[exp], **(_file_values(read_config_file(path)) if path else {}), **given}
+    flags = vars(args).copy()
+    exp = flags.pop("experiment")
+    path = flags.pop("config", None)
+    given = {**(_file_values(read_config_file(path), exp) if path else {}), **flags}
+    unread = [_SETTINGS[k].flag for k in _GENERATOR if _SETTINGS[k].field in given]
+    if unread and given.get("graph_path"):
+        raise ConfigError(f"{', '.join(unread)} set the graph generator, "
+                          f"but the graph is loaded from {given['graph_path']}")
+    values = {**_DEFAULTS.get(exp, {}), **given}
     if "init" in values:
         values["init"], values["init_node"] = values["init"]
         # an explicit init narrows the convergence campaign to that start mode
@@ -218,9 +243,6 @@ def main(argv: list[str] | None = None) -> int:
         if not cfg.out:
             sys.stdout.write(render_csv(rows, columns))
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NonErgodicError as exc:
         print(f"error: non-ergodic configuration: {exc}", file=sys.stderr)
         return EXIT_NON_ERGODIC

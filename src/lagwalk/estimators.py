@@ -376,11 +376,14 @@ def estimate_ratio(
 
 
 def replicate_summary(values: Sequence[float]) -> ReplicateSummary:
-    """Mean, empirical SD (ddof=1) and standard error over replicates."""
+    """Count, mean, empirical SD (ddof=1) and standard error of the replicates.
+
+    A NaN marks a failed replicate and is left out.  A statistic the other
+    values do not define is NaN: the mean of none, the SD and SE of fewer than two.
+    """
     vals = np.asarray(values, dtype=float)
-    if vals.size < 2:
-        raise ConfigError("replicate summary needs at least 2 values for the SD")
-    mean = float(vals.mean())
-    sd = float(vals.std(ddof=1))
-    return ReplicateSummary(int(vals.size), mean, sd, sd / float(np.sqrt(vals.size)))
+    vals = vals[~np.isnan(vals)]
+    mean = float(vals.mean()) if vals.size else np.nan
+    sd = vals.std(ddof=1) if vals.size > 1 else np.nan
+    return ReplicateSummary(vals.size, mean, float(sd), float(sd / np.sqrt(vals.size)))
 

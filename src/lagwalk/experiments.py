@@ -27,6 +27,7 @@ from .estimators import (
     estimate_size_gr,
     estimate_size_grcr,
     estimate_total,
+    replicate_summary,
     weighted_mean_degree,
 )
 from .graph import (
@@ -51,7 +52,7 @@ from .kernel import (
     stationary_node,
     stationary_pair,
 )
-from .sampling import WEIGHT_SCHEMES, build_sample_graph, run_walk
+from .sampling import OBSERVATION_ORDER, WEIGHT_SCHEMES, WalkTrace, build_sample_graph, run_walk
 
 EXPERIMENTS = ("stationary-check", "convergence", "prevalence", "size", "motif-total")
 SIZE_ESTIMATORS = ("cr", "gr", "grcr")
@@ -99,8 +100,6 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
-        if self.replicates < 1 or self.replicates_ratio < 1:
-            raise ConfigError("replicates must be >= 1")
         # Every campaign but the stationary check reports an SD over replicates.
         if self.experiment != "stationary-check" and self.replicates < 2:
             raise ConfigError(f"{self.experiment} reports an SD and needs replicates >= 2")
@@ -111,6 +110,9 @@ class CampaignConfig:
         if self.experiment == "size" and min(self.lengths) < 1:
             raise ConfigError(f"size walk length {min(self.lengths)} must be >= 1: "
                               "it counts the states extracted per walk")
+        if self.experiment == "motif-total" and min(self.lengths) < OBSERVATION_ORDER[self.motif]:
+            raise ConfigError(f"motif-total walk length {min(self.lengths)} is below the window "
+                              f"order {OBSERVATION_ORDER[self.motif]} of a {self.motif.value}")
         for name, value, allowed in (("weights", self.weights, WEIGHT_SCHEMES),
                                      ("normalization", self.normalization, NORMALIZATIONS),
                                      *(("estimator", e, SIZE_ESTIMATORS) for e in self.estimators)):
@@ -129,9 +131,6 @@ class CampaignConfig:
         if self.burn_in is not None:
             return self.burn_in
         return 0 if self.init == "stationary" else 16
-
-    def graph_label(self) -> str:
-        return self.graph_path if self.graph_path else "generated"
 
 
 def load_graph(cfg: CampaignConfig) -> Graph:
@@ -164,7 +163,7 @@ def _common_columns(cfg: CampaignConfig, graph: Graph) -> dict:
     generated = not cfg.graph_path
     return {
         "experiment": cfg.experiment,
-        "graph": cfg.graph_label(),
+        "graph": cfg.graph_path or "generated",
         "n_nodes": graph.n,
         "n_cases": sum(1 for v in graph.values if v == 1.0),
         "p_case_case": cfg.p_case_case if generated else "",
@@ -209,8 +208,6 @@ def _walk_config(cfg: CampaignConfig, r: float, w: float, length: int) -> WalkCo
 def _analysis_trace(graph: Graph, wcfg: WalkConfig, burn_in: int, rng: random.Random):
     trace = run_walk(graph, wcfg, rng)
     if burn_in:
-        from .sampling import WalkTrace
-
         sliced = trace.states[burn_in:]
         trace = WalkTrace(sliced, replace(wcfg, walk_length=len(sliced) - 1), graph.n)
     return trace
@@ -293,7 +290,7 @@ def run_convergence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dic
     """Monte Carlo expected node value at checkpoints, with the exact pair-chain
     propagation and the equilibrium target as companions."""
     graph = graph if graph is not None else load_graph(cfg)
-    common = _common_columns(cfg, graph)
+    common = {**_common_columns(cfg, graph), "burn_in": 0}  # its walks never burn in
     checkpoints = cfg.t_checkpoints
     horizon = max(checkpoints)
     y = np.asarray(graph.values)
@@ -321,13 +318,12 @@ def run_convergence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dic
                 exact = {t: float(marginal_at_t(graph, wcfg, p0, t, chain=chain) @ y)
                          for t in checkpoints}
                 for idx, t in enumerate(checkpoints):
-                    col = values[:, idx]
+                    summary = replicate_summary(values[:, idx])
                     rows.append({
                         **common,
                         "init": init if init != "fixed" else f"fixed:{node}",
                         "B": cfg.replicates, "r": r, "w": w, "t": t,
-                        "y_mc": float(col.mean()),
-                        "y_mc_se": float(col.std(ddof=1) / np.sqrt(len(col))),
+                        "y_mc": summary.mean, "y_mc_se": summary.se,
                         "y_exact": exact[t],
                         "y_equilibrium": equilibrium,
                     })
@@ -372,15 +368,12 @@ def run_prevalence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dict
         worker = functools.partial(_prevalence_rep, graph, wcfg, burn, cfg.weights,
                                    cfg.seed, cell)
         values = np.asarray(_run_indexed(worker, cfg.replicates, cfg.jobs))
-        failed = np.isnan(values[:, 0])
-        mu = values[~failed, 0]
-        failure_rate = float(np.mean(failed))
+        mu = replicate_summary(values[:, 0])
+        failure_rate = float(np.mean(np.isnan(values[:, 0])))
         rows.append({
             **common,
             "B": cfg.replicates, "walk_length": length, "r": r, "w": w,
-            "mu_mean": float(mu.mean()) if mu.size else np.nan,
-            "mu_sd": float(mu.std(ddof=1)) if mu.size > 1 else np.nan,
-            "mu_se": float(mu.std(ddof=1) / np.sqrt(len(mu))) if mu.size > 1 else np.nan,
+            "mu_mean": mu.mean, "mu_sd": mu.sd, "mu_se": mu.se,
             "psi_mean": float(values[:, 1].mean()),
             "mu_true": mu_true,
             "failure_rate": failure_rate,
@@ -440,16 +433,13 @@ def run_size(cfg: CampaignConfig, graph: Graph | None = None) -> list[dict]:
         values = np.asarray(_run_indexed(worker, cfg.replicates, cfg.jobs))
         collision_failures = float(np.mean(np.isnan(values[:, 0])))
         for name in cfg.estimators:
-            col = values[:, SIZE_ESTIMATORS.index(name)]
-            ok = col[~np.isnan(col)]
+            summary = replicate_summary(values[:, SIZE_ESTIMATORS.index(name)])
             rows.append({
                 **common,
                 "B": cfg.replicates, "n_extracted": n_states, "r": r, "w": w,
                 "estimator": name,
-                "mean": float(ok.mean()) if ok.size else np.nan,
-                "sd": float(ok.std(ddof=1)) if ok.size > 1 else np.nan,
-                "se": float(ok.std(ddof=1) / np.sqrt(ok.size)) if ok.size > 1 else np.nan,
-                "n_success": int(ok.size),
+                "mean": summary.mean, "sd": summary.sd, "se": summary.se,
+                "n_success": summary.count,
                 "failure_rate": 0.0 if name == "gr" else collision_failures,
                 "negative_rate": float(np.mean(values[:, 3])) if name == "cr" else 0.0,
                 "true_edge_count": graph.edge_count,
@@ -543,17 +533,15 @@ def run_motif_total(cfg: CampaignConfig, graph: Graph | None = None) -> list[dic
             ("ratio", ratio_worker, cfg.replicates_ratio),
         ):
             values = np.asarray(_run_indexed(worker, b, cfg.jobs))
-            ok = values[~np.isnan(values)]
+            summary = replicate_summary(values)
             failure_rate = float(np.mean(np.isnan(values)))
             rows.append({
                 **common,
                 "motif": cfg.motif.value, "weights": cfg.weights,
                 "normalization": cfg.normalization if target == "total" else "unnormalized",
                 "B": b, "walk_length": length, "r": r, "w": w, "target": target,
-                "mean": float(ok.mean()) if ok.size else np.nan,
-                "sd": float(ok.std(ddof=1)) if ok.size > 1 else np.nan,
-                "se": float(ok.std(ddof=1) / np.sqrt(ok.size)) if ok.size > 1 else np.nan,
-                "n_success": int(ok.size),
+                "mean": summary.mean, "sd": summary.sd, "se": summary.se,
+                "n_success": summary.count,
                 "failure_rate": failure_rate,
                 "true_total": true_total,
                 "true_value_total": true_value_total,

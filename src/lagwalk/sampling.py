@@ -334,18 +334,3 @@ def _ppw_weights(provider, kind, nodes, center, prob) -> dict[tuple[int, ...], f
     total = sum(probs.values())
     return {s: p / total for s, p in probs.items()}
 
-
-def write_trace_csv(trace: WalkTrace, path: str) -> None:
-    """Trace export: one (t, state) row per step."""
-    lines = ["t,state"]
-    lines.extend(f"{t},{x}" for t, x in enumerate(trace.states))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_sample_graph(sg: SampleGraph, path: str) -> None:
-    """Sample-graph export: order header, seed-set line, then observed edges."""
-    lines = [f"N {sg.n}", "seed " + " ".join(str(v) for v in sorted(sg.seed))]
-    lines.extend(f"{i} {j}" for i, j in sg.edges)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

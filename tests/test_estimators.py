@@ -19,6 +19,7 @@ from lagwalk import (
     UnobservedEntryError,
     WalkConfig,
     WalkTrace,
+    build_pair_chain,
     build_sample_graph,
     count_collisions,
     estimate_ratio,
@@ -30,17 +31,21 @@ from lagwalk import (
     replicate_summary,
     run_walk,
     sequence_prob,
+    stationary_pair,
+    transition_prob,
     weighted_mean_degree,
 )
 from lagwalk import LagwalkError, enumerate_motifs
 from lagwalk.sampling import (
     MULTIPLICITY,
+    OBSERVATION_ORDER,
     MotifObservation,
     detect_observations,
     _ppw_weights,
     equivalent_sequences,
 )
 from helpers import (
+    brute_force_total,
     cycle_graph,
     figure_walk_graph,
     path_graph,
@@ -323,6 +328,36 @@ class TestCombinedEstimator:
             E += law * theta_t
         assert E == pytest.approx(theta, abs=1e-10)
 
+    @pytest.mark.parametrize("scheme", ["multiplicity", "ppw"])
+    @pytest.mark.parametrize("kind", list(MotifKind))
+    def test_window_unbiasedness_from_the_pair_chain(self, kind, scheme):
+        """E[window estimate] = theta for every kind, scheme, value mode and w.
+
+        The window law comes from the solved pair chain, pi_pair(x0, x1) times
+        p(x2 | x1, x0) for a third state, not from sequence_prob; theta comes
+        from the brute-force oracle.  Each graph holds every motif kind.
+        """
+        q = OBSERVATION_ORDER[kind]
+        for n, seed in ((5, 21), (6, 0), (7, 0)):
+            rng = random.Random(seed)
+            values = [rng.choice((0.5, 1.0, 3.0)) for _ in range(n)]
+            g = random_graph(n, 0.6, seed=seed, values=values)
+            assert brute_force_total(g, kind.value) > 0
+            for r, w in ((0.8, 1.0), (0.3, 0.2), (2.0, 0.0)):
+                cfg = WalkConfig(r=r, w=w)
+                pair = stationary_pair(build_pair_chain(g, cfg)).reshape(n, n)
+                for mode in ("ones", "product"):
+                    E = 0.0
+                    for window in itertools.product(range(n), repeat=q + 1):
+                        law = pair[:, window[0]].sum() if q == 0 else pair[window[0], window[1]]
+                        if q == 2:
+                            law *= transition_prob(g, cfg, *window)
+                        obs = detect_observations(make_trace(window, g, r, w), g, kind, mode)
+                        theta_t, _ = estimate_total_window(obs, g, cfg, scheme, size=g.edge_count)
+                        E += law * theta_t
+                    theta = brute_force_total(g, kind.value, mode)
+                    assert E == pytest.approx(theta, rel=1e-9), (n, r, w, mode)
+
 
 class TestRatioEstimator:
     def test_all_ones_gives_one(self, k3):
@@ -464,8 +499,15 @@ class TestReplicateSummary:
         assert s.se == pytest.approx(1.0)
 
     def test_needs_two(self):
-        with pytest.raises(ConfigError):
-            replicate_summary([1.0])
+        """NaN (failed) replicates are left out; an undefined statistic is NaN."""
+        one = replicate_summary([np.nan, 1.0])
+        assert (one.count, one.mean) == (1, 1.0)
+        assert np.isnan(one.sd) and np.isnan(one.se)
+        for empty in ([], [np.nan, np.nan]):
+            none = replicate_summary(empty)
+            assert none.count == 0
+            assert np.isnan(none.mean) and np.isnan(none.sd) and np.isnan(none.se)
+        assert replicate_summary([0.0, np.nan, 2.0]) == replicate_summary([0.0, 2.0])
 
     def test_matches_numpy_on_larger_sample(self):
         rng = np.random.default_rng(0)

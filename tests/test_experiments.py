@@ -11,6 +11,7 @@ from lagwalk import (
     CampaignConfig,
     ConfigError,
     Graph,
+    MotifKind,
     UnobservedEntryError,
     build_sample_graph,
     count_collisions,
@@ -20,7 +21,7 @@ from lagwalk import (
     weighted_mean_degree,
     write_edge_list,
 )
-from lagwalk import experiments
+from lagwalk import cli, experiments
 from lagwalk.cli import (
     _SETTINGS,
     EXIT_CONFIG,
@@ -296,6 +297,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             small_cfg(**{field: value})
 
+    @pytest.mark.parametrize("motif, length", [
+        (MotifKind.TRIANGLE, 1), (MotifKind.FOUR_CYCLE, 2), (MotifKind.THREE_PATH, 2),
+        (MotifKind.NODE, 0),
+    ])
+    def test_motif_total_accepts_walks_of_the_window_order(self, motif, length):
+        assert small_cfg(experiment="motif-total", motif=motif, lengths=(length,)).lengths == (length,)
+
     def test_burn_in_defaults(self):
         assert small_cfg().effective_burn_in() == 0
         assert small_cfg(init="uniform").effective_burn_in() == 16
@@ -310,7 +318,7 @@ class TestCli:
         out = tmp_path / "out.csv"
         code = self.run(
             "stationary-check", "--nodes", "12", "--cases", "3",
-            "--r", "0.5 1", "--w", "0 1", "--replicates", "1",
+            "--r", "0.5 1", "--w", "0 1",
             "--seed", "3", "--out", str(out),
         )
         assert code == EXIT_OK
@@ -439,7 +447,6 @@ class TestCli:
             "cases = 3\n"
             "r = 0.5 1\n"
             "w = 1\n"
-            "replicates = 1\n"
             "seed = 5\n"
         )
         out1 = tmp_path / "a.csv"
@@ -478,9 +485,9 @@ class TestCli:
         monkeypatch.setattr(experiments, "run_walk", no_walk)
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(text + "\n")
+        ratio = ["--replicates-ratio", "2"] if experiment == "motif-total" else []
         code = self.run(experiment, "--config", str(cfgfile), "--nodes", "10", "--cases", "2",
-                        "--r", "1", "--w", "1", "--walk-length", "8", "--replicates", "2",
-                        "--replicates-ratio", "2")
+                        "--r", "1", "--w", "1", "--walk-length", "8", "--replicates", "2", *ratio)
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
@@ -507,6 +514,48 @@ class TestCli:
         err = capsys.readouterr().err
         assert "size walk length 0 must be >= 1" in err
         assert "states extracted per walk" in err
+
+    @pytest.mark.parametrize("motif, length", [
+        ("triangle", 0), ("four-cycle", 1), ("three-path", 1), ("three-path", 0),
+    ])
+    def test_motif_total_walk_below_window_order_exits_2(self, capsys, monkeypatch, motif,
+                                                          length):
+        monkeypatch.setattr(experiments, "run_walk", _no_walk)
+        code = self.run("motif-total", "--motif", motif, "--walk-length", f"5 {length}",
+                        "--nodes", "10", "--cases", "2", "--replicates", "2",
+                        "--replicates-ratio", "2")
+        assert code == EXIT_CONFIG
+        q = 1 if motif == "triangle" else 2
+        assert (f"motif-total walk length {length} is below the window order {q} of a {motif}"
+                in capsys.readouterr().err)
+
+    def test_convergence_reports_no_burn_in(self, tmp_path):
+        out = tmp_path / "c.csv"
+        code = self.run("convergence", "--nodes", "10", "--cases", "2", "--r", "1", "--w", "1",
+                        "--replicates", "4", "--init", "uniform", "--out", str(out))
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert rows
+        assert {(row["init"], row["burn_in"]) for row in rows} == {("uniform", "0")}
+
+    @pytest.mark.parametrize("flag", ["--nodes", "--cases", "--p-cc", "--p-cn", "--p-nn",
+                                      "--graph-seed"])
+    def test_generator_setting_with_loaded_graph_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                         flag):
+        monkeypatch.setattr(cli, "run_campaign", _no_campaign)
+        gpath = tmp_path / "g.edges"
+        write_edge_list(path_graph(5), str(gpath))
+        value = FLAG_VALUES[flag]
+        graph_file = tmp_path / "graph.cfg"
+        graph_file.write_text(f"graph = {gpath}\n")
+        generator_file = tmp_path / "generator.cfg"
+        generator_file.write_text(f"{flag[2:]} = {value}\n")
+        for argv in (["--graph", str(gpath), flag, value],
+                     ["--config", str(graph_file), flag, value],
+                     ["--config", str(generator_file), "--graph", str(gpath)]):
+            assert self.run("prevalence", *argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"{flag} set the graph generator, but the graph is loaded from {gpath}" in err
 
     def test_read_config_file_parsing(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -535,20 +584,79 @@ FLAG_VALUES = {
 }
 
 
+def _no_walk(*args):
+    raise AssertionError("a walk ran")
+
+
+def _no_campaign(*args):
+    raise AssertionError("the campaign ran")
+
+
 @pytest.mark.parametrize("key", sorted(_SETTINGS))
 def test_config_file_key_matches_flag(tmp_path, key):
-    """Setting a value in a config file gives the config the flag gives."""
+    """Setting a value in a config file gives the config the flag gives, on
+    every experiment that reads the setting."""
     flag = _SETTINGS[key].flag
     value = FLAG_VALUES[flag]
     flag_args = [flag] if value is None else [flag, value]
     cfgfile = tmp_path / "one.cfg"
     cfgfile.write_text(f"{flag[2:]} = {'true' if value is None else value}\n")
-    for experiment in experiments.EXPERIMENTS:
+    for experiment in _SETTINGS[key].reads:
         by_flag = make_config(build_parser().parse_args([experiment, *flag_args]))
         by_file = make_config(build_parser().parse_args([experiment, "--config", str(cfgfile)]))
         assert by_file == by_flag
         if value is not None:
             assert by_flag != make_config(build_parser().parse_args([experiment]))
+
+
+# The experiments that do not read a setting, from what each runner uses;
+# every other setting is read by all five.
+_NOT_MOTIF_TOTAL = ("stationary-check", "convergence", "prevalence", "size")
+NOT_READ = {
+    "walk_length": ("stationary-check", "convergence"),
+    "burn_in": ("stationary-check", "convergence"),
+    "max_failure_rate": ("stationary-check", "convergence"),
+    "replicates": ("stationary-check",),
+    "init": ("stationary-check",),
+    "weights": ("stationary-check", "convergence", "size"),
+    "estimator": ("stationary-check", "convergence", "prevalence", "motif-total"),
+    "motif": _NOT_MOTIF_TOTAL,
+    "normalization": _NOT_MOTIF_TOTAL,
+    "replicates_ratio": _NOT_MOTIF_TOTAL,
+}
+
+
+def test_settings_table_reads():
+    for key, setting in _SETTINGS.items():
+        unread = tuple(e for e in experiments.EXPERIMENTS if e not in setting.reads)
+        assert unread == NOT_READ.get(key, ()), key
+
+
+@pytest.mark.parametrize("key, experiment", [
+    (key, experiment) for key, unread in sorted(NOT_READ.items()) for experiment in unread
+])
+def test_unread_setting_exits_2(tmp_path, capsys, monkeypatch, key, experiment):
+    """A flag or config-file key that the experiment does not read exits 2
+    before any work, with a message naming both."""
+    monkeypatch.setattr(cli, "run_campaign", _no_campaign)
+    flag = _SETTINGS[key].flag
+    value = FLAG_VALUES[flag]
+    assert main([experiment, flag, value]) == EXIT_CONFIG
+    assert (f"lagwalk {experiment}: error: unrecognized arguments: {flag} {value}"
+            in capsys.readouterr().err)
+    cfgfile = tmp_path / "one.cfg"
+    cfgfile.write_text(f"{flag[2:]} = {value}\n")
+    assert main([experiment, "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert f"config key {key!r} is not read by {experiment}" in capsys.readouterr().err
+
+
+def test_help_lists_only_the_settings_read(capsys):
+    for experiment in experiments.EXPERIMENTS:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([experiment, "--help"])
+        text = capsys.readouterr().out
+        for setting in _SETTINGS.values():
+            assert (setting.flag + " " in text) == (experiment in setting.reads), setting.flag
 
 
 class TestMonotoneInformation:

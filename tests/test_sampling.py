@@ -28,8 +28,6 @@ from lagwalk.sampling import (
     OBSERVATION_ORDER,
     MotifObservation,
     _ppw_weights,
-    write_sample_graph,
-    write_trace_csv,
 )
 from helpers import figure_walk_graph, path_graph, random_graph
 
@@ -106,19 +104,6 @@ class TestSampleGraph:
         assert sg.degree(0) == figure_graph.degree(0)
         assert sg.has_edge(1, 2) and not sg.has_edge(0, 4)
         assert sg.value(2) == figure_graph.value(2)
-
-    def test_exports(self, tmp_path, path5):
-        trace = make_trace([1, 2], path5)
-        sg = build_sample_graph(path5, trace)
-        tpath = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(tpath))
-        assert tpath.read_text() == "t,state\n0,1\n1,2\n"
-        gpath = tmp_path / "sample.edges"
-        write_sample_graph(sg, str(gpath))
-        lines = gpath.read_text().splitlines()
-        assert lines[0] == "N 5"
-        assert lines[1] == "seed 1 2"
-        assert lines[2:] == ["0 1", "1 2", "2 3"]
 
 
 class TestDetection:
