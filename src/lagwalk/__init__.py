@@ -42,7 +42,6 @@ from .graph import (
     Graph,
     MotifKind,
     MotifOccurrence,
-    default_case_graph,
     enumerate_motifs,
     generate_case_graph,
     graph_total,
@@ -101,7 +100,6 @@ __all__ = [
     "build_pair_chain",
     "build_sample_graph",
     "count_collisions",
-    "default_case_graph",
     "detect_observations",
     "enumerate_motifs",
     "equivalent_sequences",

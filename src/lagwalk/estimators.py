@@ -45,7 +45,7 @@ from .sampling import (
 
 @dataclass(frozen=True)
 class CollisionStat:
-    """Degree-weighted collision count between two extractions."""
+    """Degree-weighted collision count between two traces."""
 
     m: float
     n_x: int
@@ -70,7 +70,6 @@ class TotalEstimate:
     indicators: tuple[int, ...]
     kind: MotifKind
     scheme: str
-    normalization: str
 
     @property
     def n_windows(self) -> int:
@@ -89,33 +88,12 @@ class ReplicateSummary:
     se: float
 
 
-def _extract(trace: WalkTrace, indices: Sequence[int] | None) -> list[int]:
-    if indices is None:
-        return list(trace.states)
-    states = trace.states
-    out = []
-    for t in indices:
-        if not 0 <= t < len(states):
-            raise ConfigError(f"extraction index {t} outside trace of length {len(states)}")
-        out.append(states[t])
-    return out
+def count_collisions(trace_x: WalkTrace, trace_y: WalkTrace, provider, r: float) -> CollisionStat:
+    """m = sum over matched index pairs of 1/(d_h + r), over every state of both traces.
 
-
-def count_collisions(
-    trace_x: WalkTrace,
-    trace_y: WalkTrace,
-    provider,
-    r: float,
-    extraction: tuple[Sequence[int], Sequence[int]] | None = None,
-) -> CollisionStat:
-    """m = sum over matched index pairs of 1/(d_h + r).
-
-    Extraction indices need not be consecutive; by default every state of
-    both traces is used.  Degrees are needed only for matched states, which
-    both walks have visited.
+    Degrees are needed only for matched states, which both walks have visited.
     """
-    xs = _extract(trace_x, extraction[0] if extraction else None)
-    ys = _extract(trace_y, extraction[1] if extraction else None)
+    xs, ys = trace_x.states, trace_y.states
     cnt_x = Counter(xs)
     cnt_y = Counter(ys)
     m = 0.0
@@ -138,30 +116,21 @@ def estimate_size_cr(stat: CollisionStat, r: float, n_nodes: int) -> SizeEstimat
     return SizeEstimate("cr", r_hat, negative=r_hat < 0)
 
 
-def weighted_mean_degree(
-    traces: Sequence[WalkTrace],
-    provider,
-    r: float,
-    extraction: Sequence[Sequence[int] | None] | None = None,
-) -> float:
-    """Ratio of sums of d/(d+r) over 1/(d+r) across all extracted states.
+def weighted_mean_degree(traces: Sequence[WalkTrace], providers: Sequence, r: float) -> float:
+    """Ratio of sums of d/(d+r) over 1/(d+r) across every state of the traces.
 
-    ``provider`` answers the degrees of every trace, or is a list or tuple
-    with one provider per trace, such as each walk's sample graph.
+    ``providers`` holds one degree provider per trace, such as each walk's
+    sample graph.
     """
-    providers = provider if isinstance(provider, (list, tuple)) else [provider] * len(traces)
+    if not any(trace.states for trace in traces):
+        raise ConfigError("weighted mean degree needs at least one state")
     num = 0.0
     den = 0.0
-    count = 0
-    for idx, (trace, provider) in enumerate(zip(traces, providers, strict=True)):
-        states = _extract(trace, extraction[idx] if extraction else None)
-        for h in states:
+    for trace, provider in zip(traces, providers, strict=True):
+        for h in trace.states:
             d = provider.degree(h)
             num += d / (d + r)
             den += 1.0 / (d + r)
-        count += len(states)
-    if count == 0:
-        raise ConfigError("weighted mean degree needs at least one extracted state")
     return num / den
 
 
@@ -294,7 +263,6 @@ def estimate_total(
     scheme: str = "multiplicity",
     value_mode: str = "product",
     size: float | None = None,
-    size_is_estimate: bool = False,
     ppw_fallback: bool = False,
 ) -> TotalEstimate:
     """Combined motif-total estimate: mean of the per-window estimates.
@@ -314,12 +282,7 @@ def estimate_total(
         flags.append(0 if pi is None else 1)
     if sum(flags) == 0:
         raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
-    theta = sum(values) / len(values)
-    if size is None:
-        norm = "unnormalized"
-    else:
-        norm = "estimated" if size_is_estimate else "exact"
-    return TotalEstimate(theta, tuple(values), tuple(flags), kind, scheme, norm)
+    return TotalEstimate(sum(values) / len(values), tuple(values), tuple(flags), kind, scheme)
 
 
 def estimate_ratio(
@@ -330,49 +293,34 @@ def estimate_ratio(
     numerator_values: str = "product",
     denominator_values: str = "ones",
     scheme: str = "multiplicity",
-    denominator_kind: MotifKind | None = None,
     ppw_fallback: bool = False,
 ) -> float:
     """Ratio of two combined totals computed with unnormalised probabilities.
 
     The unknown constant 2R + rN cancels, so no size estimate is involved.
-    With a single kind both totals share the same informative windows, which
-    makes the node-motif case the classic ratio estimator of a population
-    mean.  A different denominator kind must have the same window order; each
-    total then uses its own informative-window set.
+    Both totals share the same informative windows, which makes the
+    node-motif case the classic ratio estimator of a population mean.
     """
-    if denominator_kind is None or denominator_kind is kind:
-        num_product, den_product = numerator_values == "product", denominator_values == "product"
-        detect_mode = "product" if num_product or den_product else "ones"
-        num = 0.0
-        den = 0.0
-        informative = 0
-        for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, detect_mode, ppw_fallback):
-            if pi is None:
-                continue
-            if not informative:
-                for mode in (numerator_values, denominator_values):
-                    motif_value(provider, (), mode)  # an empty product: checks the mode only
-            informative += 1
-            for value, w in pairs:
-                num += w * (value if num_product else 1.0) / pi
-                den += w * (value if den_product else 1.0) / pi
-        if informative == 0:
-            raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
-        if den == 0.0:
-            raise EstimationError("denominator estimate is zero")
-        return num / den
-    if OBSERVATION_ORDER[denominator_kind] != OBSERVATION_ORDER[kind]:
-        raise ConfigError(
-            f"ratio of {kind.value} to {denominator_kind.value} mixes window orders"
-        )
-    num_est = estimate_total(trace, provider, cfg, kind, scheme, numerator_values,
-                             ppw_fallback=ppw_fallback)
-    den_est = estimate_total(trace, provider, cfg, denominator_kind, scheme, denominator_values,
-                             ppw_fallback=ppw_fallback)
-    if den_est.theta_hat == 0.0:
+    num_product, den_product = numerator_values == "product", denominator_values == "product"
+    detect_mode = "product" if num_product or den_product else "ones"
+    num = 0.0
+    den = 0.0
+    informative = 0
+    for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, detect_mode, ppw_fallback):
+        if pi is None:
+            continue
+        if not informative:
+            for mode in (numerator_values, denominator_values):
+                motif_value(provider, (), mode)  # an empty product: checks the mode only
+        informative += 1
+        for value, w in pairs:
+            num += w * (value if num_product else 1.0) / pi
+            den += w * (value if den_product else 1.0) / pi
+    if informative == 0:
+        raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
+    if den == 0.0:
         raise EstimationError("denominator estimate is zero")
-    return num_est.theta_hat / den_est.theta_hat
+    return num / den
 
 
 def replicate_summary(values: Sequence[float]) -> ReplicateSummary:

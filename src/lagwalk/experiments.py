@@ -291,6 +291,9 @@ def run_convergence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dic
     propagation and the equilibrium target as companions."""
     graph = graph if graph is not None else load_graph(cfg)
     common = {**_common_columns(cfg, graph), "burn_in": 0}  # its walks never burn in
+    node = cfg.init_node if cfg.init_node is not None else 0
+    if "fixed" in cfg.convergence_inits and not 0 <= node < graph.n:
+        raise ConfigError(f"init_node {node} outside graph of order {graph.n}")
     checkpoints = cfg.t_checkpoints
     horizon = max(checkpoints)
     y = np.asarray(graph.values)
@@ -302,7 +305,6 @@ def run_convergence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dic
             chain = build_pair_chain(graph, wcfg_base)
             equilibrium = float(stationary_node(graph, wcfg_base) @ y)
             for init in cfg.convergence_inits:
-                node = cfg.init_node if cfg.init_node is not None else 0
                 wcfg = WalkConfig(r=r, w=w, walk_length=horizon, init=init,
                                   init_node=node if init == "fixed" else None)
                 if init == "stationary":
@@ -398,16 +400,25 @@ SIZE_COLUMNS = COMMON_COLUMNS + (
 )
 
 
+def _paired_size_stats(graph: Graph, wcfg: WalkConfig, burn_in: int, trace_x: WalkTrace,
+                       sample_x, rng_y: random.Random):
+    """Run walk Y of a paired-walk replicate; return the collision statistic of X and Y
+    and their weighted mean degree, each degree read through a walk's sample graph."""
+    trace_y = _analysis_trace(graph, wcfg, burn_in, rng_y)
+    stat = count_collisions(trace_x, trace_y, sample_x, wcfg.r)
+    d_bar = weighted_mean_degree([trace_x, trace_y],
+                                 [sample_x, build_sample_graph(graph, trace_y)], wcfg.r)
+    return stat, d_bar
+
+
 def _size_rep(graph: Graph, wcfg: WalkConfig, burn_in: int,
               master: int, cell: int, k: int) -> tuple[float, float, float, float]:
     """The SIZE_ESTIMATORS estimates in that order, then 1.0 if the CR one is negative."""
     rng_x = replicate_rng(master, "size", cell, k, _STREAM_X)
-    rng_y = replicate_rng(master, "size", cell, k, _STREAM_Y)
     trace_x = _analysis_trace(graph, wcfg, burn_in, rng_x)
-    trace_y = _analysis_trace(graph, wcfg, burn_in, rng_y)
-    sample_x, sample_y = build_sample_graph(graph, trace_x), build_sample_graph(graph, trace_y)
-    stat = count_collisions(trace_x, trace_y, sample_x, wcfg.r)
-    d_bar = weighted_mean_degree([trace_x, trace_y], [sample_x, sample_y], wcfg.r)
+    rng_y = replicate_rng(master, "size", cell, k, _STREAM_Y)
+    stat, d_bar = _paired_size_stats(graph, wcfg, burn_in, trace_x,
+                                     build_sample_graph(graph, trace_x), rng_y)
     gr = estimate_size_gr(d_bar, graph.n).r_hat
     if stat.m <= 0:
         return np.nan, gr, np.nan, 0.0
@@ -474,20 +485,14 @@ def _total_rep(graph: Graph, wcfg: WalkConfig, burn_in: int, motif: MotifKind, s
     sg = build_sample_graph(graph, trace_x)
     if normalization == "exact":
         size = float(graph.edge_count)
-        estimated = False
     else:
         rng_y = replicate_rng(master, "motif-total", cell, k, _STREAM_Y)
-        trace_y = _analysis_trace(graph, wcfg, burn_in, rng_y)
-        stat = count_collisions(trace_x, trace_y, sg, wcfg.r)
+        stat, d_bar = _paired_size_stats(graph, wcfg, burn_in, trace_x, sg, rng_y)
         if stat.m <= 0:
             return np.nan
-        d_bar = weighted_mean_degree([trace_x, trace_y], [sg, build_sample_graph(graph, trace_y)],
-                                     wcfg.r)
         size = estimate_size_grcr(stat, d_bar, wcfg.r).r_hat
-        estimated = True
     try:
-        est = estimate_total(trace_x, sg, wcfg, motif, scheme, "ones", size, estimated,
-                             ppw_fallback=True)
+        est = estimate_total(trace_x, sg, wcfg, motif, scheme, "ones", size, ppw_fallback=True)
     except NoObservationsError:
         return np.nan
     return est.theta_hat

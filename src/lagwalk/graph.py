@@ -168,18 +168,6 @@ def generate_case_graph(
     return Graph(n_nodes, edges, values)
 
 
-def default_case_graph() -> Graph:
-    """The frozen demo graph used by the experiment campaigns."""
-    return generate_case_graph(
-        DEFAULT_N_NODES,
-        DEFAULT_N_CASES,
-        DEFAULT_P_CASE_CASE,
-        DEFAULT_P_CASE_NONCASE,
-        DEFAULT_P_NONCASE_NONCASE,
-        DEFAULT_GRAPH_SEED,
-    )
-
-
 def motif_value(provider, nodes: Iterable[int], mode: str = "product") -> float:
     """Value attached to an occurrence: product of node values, or 1.
 

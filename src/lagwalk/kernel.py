@@ -167,13 +167,18 @@ class PairStateChain:
     column mass m_h = sum_i pi(i, h), the mass s_h arriving from adjacent
     predecessors, and pi(j, h) for the backtracking move j = i.  One step
     is then O(N^2) with no stored transition matrix (see :meth:`step`).
+    It needs r > 0 for irreducibility and at most ``MAX_PAIR_STATES`` states.
     """
 
     def __init__(self, graph: Graph, cfg: WalkConfig):
+        self.n_states = graph.n * graph.n
+        if cfg.r <= 0:
+            raise NonErgodicError("pair chain needs r > 0 for irreducibility")
+        if self.n_states > MAX_PAIR_STATES:
+            raise StateSpaceError(f"pair state space {self.n_states} exceeds cap {MAX_PAIR_STATES}")
         self.graph = graph
         self.cfg = cfg
         self.n_nodes = graph.n
-        self.n_states = graph.n * graph.n
         n, r, w = graph.n, cfg.r, cfg.w
         degs = np.asarray(graph.degrees, dtype=float)
         self._adj = graph.adjacency_matrix().astype(float)
@@ -242,11 +247,6 @@ class PairStateChain:
 
 def build_pair_chain(g: Graph, cfg: WalkConfig) -> PairStateChain:
     """Pair chain of the walk on ``g``, ready to step (see :class:`PairStateChain`)."""
-    if cfg.r <= 0:
-        raise NonErgodicError("pair chain needs r > 0 for irreducibility")
-    n_states = g.n * g.n
-    if n_states > MAX_PAIR_STATES:
-        raise StateSpaceError(f"pair state space {n_states} exceeds cap {MAX_PAIR_STATES}")
     return PairStateChain(g, cfg)
 
 

@@ -78,16 +78,6 @@ class WalkTrace:
         """Fraction of distinct nodes visited."""
         return len(set(self.states)) / self.n_nodes
 
-    def contiguous_windows(self, q: int):
-        """All realised successive-state runs of length q + 1, in walk order.
-
-        These are the sequences whose probabilities are always computable
-        from the observed sample; any other sequence needs its node set to
-        lie inside the seed sample (see :meth:`SampleGraph.covers`).
-        """
-        for t in range(len(self.states) - q):
-            yield t, self.states[t : t + q + 1]
-
 
 def run_walk(g: Graph, cfg: WalkConfig, rng: random.Random) -> WalkTrace:
     """Simulate a walk of cfg.walk_length steps; X_0 drawn per cfg.init.
@@ -123,13 +113,6 @@ class SampleGraph:
         self._values = values
 
     @property
-    def observed_nodes(self) -> frozenset[int]:
-        out = set(self.seed)
-        for nbrs in self._nbrs.values():
-            out.update(nbrs)
-        return frozenset(out)
-
-    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         found = set()
         for h, nbrs in self._nbrs.items():
@@ -161,17 +144,6 @@ class SampleGraph:
             return self._values[v]
         except KeyError:
             raise UnobservedEntryError(f"value of node {v} not observed") from None
-
-    def covers(self, nodes) -> bool:
-        """Whether a hypothetical sequence over ``nodes`` has a computable
-        probability, i.e. its node set lies inside the seed sample."""
-        return all(v in self.seed for v in nodes)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SampleGraph):
-            return NotImplemented
-        return (self.n == other.n and self.seed == other.seed
-                and self._nbrs == other._nbrs and self._values == other._values)
 
     def __repr__(self) -> str:
         return f"SampleGraph(n={self.n}, seed={len(self.seed)}, edges={len(self.edges)})"
@@ -252,8 +224,10 @@ def detect_observations(
     which treats each window separately.
     """
     q = OBSERVATION_ORDER[kind]
+    states = trace.states
     out: list[MotifObservation] = []
-    for t, window in trace.contiguous_windows(q):
+    for t in range(len(states) - q):
+        window = states[t : t + q + 1]
         for center, nodes in _window_occurrences(provider, window, kind):
             occ = MotifOccurrence(kind, nodes, motif_value(provider, nodes, value_mode), center)
             out.append(MotifObservation(occ, window, t))

@@ -108,6 +108,30 @@ def _is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
+def _answer(query, *args):
+    """The answer of an audited query, or None where the sample graph refuses it."""
+    try:
+        return query(*args)
+    except UnobservedEntryError:
+        return None
+
+
+def observed_nodes(sg) -> frozenset[int]:
+    """Nodes whose value the sample graph answers: the seed sample and its neighbours."""
+    return frozenset(v for v in range(sg.n) if _answer(sg.value, v) is not None)
+
+
+def observable_answers(sg) -> tuple:
+    """Every answer the audited queries of a sample graph give, None where one is refused."""
+    nodes = range(sg.n)
+    return (
+        sg.n,
+        sg.seed,
+        [(_answer(sg.degree, v), _answer(sg.neighbors_of, v), _answer(sg.value, v)) for v in nodes],
+        [_answer(sg.has_edge, i, j) for i, j in itertools.combinations(nodes, 2)],
+    )
+
+
 def brute_force_total(g: Graph, kind: str, value_mode: str = "ones") -> float:
     """Independent motif-total oracle via direct subset predicates."""
 
@@ -215,7 +239,7 @@ def reference_windows(trace, provider, kind, value_mode):
 
 
 def reference_total(trace, provider, cfg, kind, scheme="multiplicity", value_mode="product",
-                    size=None, size_is_estimate=False, ppw_fallback=False):
+                    size=None, ppw_fallback=False):
     values, flags = [], []
     for obs_list in reference_windows(trace, provider, kind, value_mode):
         theta_t, ind = reference_total_window(obs_list, provider, cfg, scheme, size, ppw_fallback)
@@ -223,11 +247,7 @@ def reference_total(trace, provider, cfg, kind, scheme="multiplicity", value_mod
         flags.append(ind)
     if sum(flags) == 0:
         raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
-    if size is None:
-        norm = "unnormalized"
-    else:
-        norm = "estimated" if size_is_estimate else "exact"
-    return TotalEstimate(sum(values) / len(values), tuple(values), tuple(flags), kind, scheme, norm)
+    return TotalEstimate(sum(values) / len(values), tuple(values), tuple(flags), kind, scheme)
 
 
 def reference_ratio(trace, provider, cfg, kind, numerator_values="product",

@@ -80,15 +80,6 @@ class TestCollisions:
         stat = count_collisions(tx, ty, path5, r=1.0)
         assert stat.m == pytest.approx(6 / 3)
 
-    def test_extraction_subsets(self, path5):
-        tx = make_trace([0, 1, 2, 3], path5)
-        ty = make_trace([2, 2, 0, 1], path5)
-        stat = count_collisions(tx, ty, path5, r=1.0, extraction=([2], [0, 1]))
-        assert stat.m == pytest.approx(2 / 3)
-        assert (stat.n_x, stat.n_y) == (1, 2)
-        with pytest.raises(ConfigError):
-            count_collisions(tx, ty, path5, r=1.0, extraction=([9], [0]))
-
     def test_k3_expected_collisions(self, k3):
         # E(m) = n_x n_y / (2R + rN) = n^2 / 9
         cfg = WalkConfig(r=1.0, w=1.0, walk_length=24)
@@ -141,20 +132,20 @@ class TestSizeEstimators:
         g = Graph(5, [(0, 1), (1, 2), (1, 3)])
         t1 = make_trace([0], g)
         t2 = make_trace([1], g)
-        assert weighted_mean_degree([t1, t2], g, r=1.0) == pytest.approx(5 / 3)
-        # regular graph: exactly k whatever the extraction
-        assert weighted_mean_degree([tx], c4, r=0.3) == pytest.approx(2.0)
+        assert weighted_mean_degree([t1, t2], [g, g], r=1.0) == pytest.approx(5 / 3)
+        # regular graph: exactly k whatever the states
+        assert weighted_mean_degree([tx], [c4], r=0.3) == pytest.approx(2.0)
 
     def test_audited_providers(self, study_graph):
         g = study_graph
         cfg = WalkConfig(r=0.5, w=0.5, walk_length=40)
         tx, ty = (run_walk(g, cfg, random.Random(seed)) for seed in (1, 2))
         sx, sy = build_sample_graph(g, tx), build_sample_graph(g, ty)
-        assert weighted_mean_degree([tx, ty], [sx, sy], 0.5) == weighted_mean_degree([tx, ty], g, 0.5)
+        assert weighted_mean_degree([tx, ty], [sx, sy], 0.5) == weighted_mean_degree([tx, ty], [g, g], 0.5)
         assert count_collisions(tx, ty, sx, 0.5) == count_collisions(tx, ty, g, 0.5)
         assert set(ty.states) - sx.seed  # y visits nodes x did not
         with pytest.raises(UnobservedEntryError):
-            weighted_mean_degree([tx, ty], sx, 0.5)
+            weighted_mean_degree([tx, ty], [sx, sx], 0.5)
         with pytest.raises(UnobservedEntryError):
             weighted_mean_degree([tx, ty], [sy, sx], 0.5)
         with pytest.raises(ValueError):
@@ -166,9 +157,10 @@ class TestSizeEstimators:
             count_collisions(tx, ty, elsewhere, 0.5)
 
     def test_weighted_mean_degree_needs_states(self, c4):
-        tx = make_trace([0], c4)
-        with pytest.raises(ConfigError):
-            weighted_mean_degree([tx], c4, r=1.0, extraction=[[]])
+        empty = WalkTrace((), WalkConfig(r=1.0), c4.n)
+        for traces in ([], [empty]):
+            with pytest.raises(ConfigError):
+                weighted_mean_degree(traces, [c4] * len(traces), r=1.0)
 
     def test_gr(self):
         assert estimate_size_gr(6.0, 100).r_hat == pytest.approx(300.0)
@@ -176,7 +168,7 @@ class TestSizeEstimators:
 
     def test_gr_exact_on_regular_graph(self, c4):
         tx = make_trace([0, 3, 1], c4)
-        d_bar = weighted_mean_degree([tx], c4, r=0.5)
+        d_bar = weighted_mean_degree([tx], [c4], r=0.5)
         assert estimate_size_gr(d_bar, c4.n).r_hat == pytest.approx(c4.edge_count)
 
     def test_grcr_worked_example(self):
@@ -258,7 +250,6 @@ class TestCombinedEstimator:
         assert est.theta_hat == pytest.approx(5.0, abs=1e-12)
         assert est.n_windows == 31
         assert est.n_informative == 31
-        assert est.normalization == "exact"
 
     def test_k3_two_window_traces_exhaustive(self, k3):
         """Exact trace-law expectation of the combined estimate equals theta."""
@@ -293,14 +284,6 @@ class TestCombinedEstimator:
         cfg = WalkConfig(r=1.0)
         with pytest.raises(NoObservationsError):
             estimate_total(trace, path5, cfg, MotifKind.TRIANGLE, size=4)
-
-    def test_estimated_normalization_flag(self, k3):
-        cfg = WalkConfig(r=1.0, w=1.0)
-        trace = make_trace([0, 1, 2], k3)
-        est = estimate_total(trace, k3, cfg, MotifKind.TRIANGLE, size=3.7, size_is_estimate=True)
-        assert est.normalization == "estimated"
-        raw = estimate_total(trace, k3, cfg, MotifKind.TRIANGLE)
-        assert raw.normalization == "unnormalized"
 
     @pytest.mark.parametrize("w", [1.0, 0.4])
     @pytest.mark.parametrize("n_nodes", [6, 7, 8])
@@ -396,17 +379,6 @@ class TestRatioEstimator:
         with pytest.raises(EstimationError):
             estimate_ratio(trace, g, cfg, MotifKind.TRIANGLE, "ones", "product")
 
-    def test_cross_kind_requires_same_window_order(self, k3):
-        cfg = WalkConfig(r=1.0, walk_length=3)
-        trace = make_trace([0, 1, 2, 0], k3)
-        with pytest.raises(ConfigError):
-            estimate_ratio(trace, k3, cfg, MotifKind.TRIANGLE, "ones", "ones",
-                           denominator_kind=MotifKind.NODE)
-        # same order works: edge total per node total
-        got = estimate_ratio(trace, k3, cfg, MotifKind.EDGE, "ones", "ones",
-                             denominator_kind=MotifKind.NODE)
-        assert got > 0
-
     def test_no_informative_window(self, path5):
         cfg = WalkConfig(r=1.0)
         trace = make_trace([0, 2, 4], path5)
@@ -434,7 +406,6 @@ class TestWindowPass:
         density=st.floats(0.3, 0.9),
         ppw_fallback=st.booleans(),
         size=st.one_of(st.none(), st.floats(1.0, 60.0)),
-        size_is_estimate=st.booleans(),
         audited=st.booleans(),
         r=st.floats(0.05, 2.0),
         w=st.floats(0.0, 1.0),
@@ -442,7 +413,7 @@ class TestWindowPass:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_reference_exactly(self, data, n, density, kind, scheme, ppw_fallback,
-                                       size, size_is_estimate, audited, r, w, length, seed):
+                                       size, audited, r, w, length, seed):
         values = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
         g = random_graph(n, density, seed, values=values)
         cfg = WalkConfig(r=r, w=w, walk_length=length, init="uniform")
@@ -452,9 +423,9 @@ class TestWindowPass:
                                            ("product", "product")]))
 
         expected = _outcome(reference_total, trace, provider, cfg, kind, scheme, "product",
-                            size, size_is_estimate, ppw_fallback)
+                            size, ppw_fallback)
         got = _outcome(estimate_total, trace, provider, cfg, kind, scheme, "product",
-                       size, size_is_estimate, ppw_fallback)
+                       size, ppw_fallback)
         assert got == expected
         expected = _outcome(reference_ratio, trace, provider, cfg, kind, *modes, scheme,
                             ppw_fallback)

@@ -173,7 +173,7 @@ class TestSizeRunner:
         traces = [experiments._analysis_trace(graph, wcfg, 0, experiments.replicate_rng(
             7, "size", 0, 0, stream)) for stream in (0, 1)]
         stat = count_collisions(*traces, graph, 0.5)
-        d_bar = weighted_mean_degree(traces, graph, 0.5)
+        d_bar = weighted_mean_degree(traces, [graph, graph], 0.5)
         cr, gr, grcr, _ = experiments._size_rep(graph, wcfg, 0, 7, 0, 0)
         assert gr == estimate_size_gr(d_bar, graph.n).r_hat
         assert grcr == estimate_size_grcr(stat, d_bar, 0.5).r_hat
@@ -538,6 +538,14 @@ class TestCli:
         assert rows
         assert {(row["init"], row["burn_in"]) for row in rows} == {("uniform", "0")}
 
+    @pytest.mark.parametrize("node", ["999", "-1"])
+    def test_convergence_fixed_node_outside_graph_exits_2(self, capsys, monkeypatch, node):
+        monkeypatch.setattr(experiments, "run_walk", _no_walk)
+        code = self.run("convergence", "--init", f"fixed:{node}", "--replicates", "2",
+                        "--nodes", "10", "--cases", "2")
+        assert code == EXIT_CONFIG
+        assert f"init_node {node} outside graph of order 10" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--nodes", "--cases", "--p-cc", "--p-cn", "--p-nn",
                                       "--graph-seed"])
     def test_generator_setting_with_loaded_graph_exits_2(self, tmp_path, capsys, monkeypatch,
@@ -670,13 +678,15 @@ class TestMonotoneInformation:
 
 
 # SHA-256 of campaign CSVs from tiny CLI configs, computed at commit 093f327,
-# before the window pass stopped building observation objects.  A change that
-# alters a random stream or a float operation on purpose must update these
-# digests and say so.
+# before the window pass stopped building observation objects; the convergence
+# and uniform-start prevalence digests were computed at commit 9405a84.  A
+# change that alters a random stream or a float operation on purpose must
+# update these digests and say so.
 DIGEST_ARGS = ["--nodes", "30", "--cases", "8", "--p-cc", "0.5", "--p-cn", "0.2", "--p-nn", "0.15",
-               "--graph-seed", "3", "--r", "0.5", "--w", "0.3", "--seed", "11",
-               "--max-failure-rate", "1"]
+               "--graph-seed", "3", "--r", "0.5", "--w", "0.3", "--seed", "11"]
 CSV_DIGESTS = {
+    "convergence": "fe1c7f7a8a946a0efd34b3996d6aedfde73e30f1bc9ad7e849f939956bc1048b",
+    "prevalence-uniform-init": "9f96ca756b204bb547906f7e172b61b3ca106c555747bfa6e4fcac95ecda2531",
     "prevalence-multiplicity": "7e1db8455ef34a390c9a8ecc43bd0ab5324ab885b9d0d25d0c7ef517ef801473",
     "prevalence-ppw": "7e1db8455ef34a390c9a8ecc43bd0ab5324ab885b9d0d25d0c7ef517ef801473",
     "size": "5f91dbda8ec97c50fbbbbcba890f204846da2f3a3432420fb71ee9e87b0ae408",
@@ -708,6 +718,10 @@ CSV_DIGESTS = {
 
 
 def _digest_argv(name):
+    if name == "convergence":
+        return ["convergence", "--replicates", "5"]
+    if name == "prevalence-uniform-init":  # burns in 16 steps
+        return ["prevalence", "--init", "uniform", "--walk-length", "30", "--replicates", "5"]
     if name == "size":
         return ["size", "--walk-length", "40", "--replicates", "6"]
     if name.startswith("prevalence-"):
@@ -722,5 +736,6 @@ class TestCsvDigests:
     @pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
     def test_csv_bytes(self, tmp_path, name):
         out = tmp_path / "out.csv"
-        assert main(_digest_argv(name) + DIGEST_ARGS + ["--out", str(out)]) == EXIT_OK
+        cap = [] if name == "convergence" else ["--max-failure-rate", "1"]  # convergence has none
+        assert main(_digest_argv(name) + DIGEST_ARGS + cap + ["--out", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[name]

@@ -16,6 +16,7 @@ from lagwalk import (
     ConvergenceError,
     Graph,
     NonErgodicError,
+    PairStateChain,
     SequenceUnreachableError,
     StateSpaceError,
     WalkConfig,
@@ -253,6 +254,13 @@ class TestPairChain:
     def test_requires_positive_jump_rate(self, path5):
         with pytest.raises(NonErgodicError):
             build_pair_chain(path5, WalkConfig(r=0.0))
+
+    def test_constructor_checks_jump_rate_and_cap(self, path5, monkeypatch):
+        with pytest.raises(NonErgodicError):
+            PairStateChain(path5, WalkConfig(r=0.0, w=0.5))
+        monkeypatch.setattr(kernel, "MAX_PAIR_STATES", 24)
+        with pytest.raises(StateSpaceError):
+            PairStateChain(path5, WalkConfig(r=1.0))
 
     def test_state_space_cap(self, path5, monkeypatch):
         chain = build_pair_chain(path_graph(201), WalkConfig(r=1.0))
