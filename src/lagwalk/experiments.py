@@ -1,12 +1,14 @@
 """Experiment campaigns: stationary checks, convergence, prevalence, size, motif totals.
 
 Every campaign is a deterministic function of its configuration and master
-seed.  Replicate k of cell c draws from a substream derived as
-SeedSequence((master, experiment_id, cell_index, k, stream)), so results are
-identical whatever the execution order or degree of parallelism; workers
-return per-replicate values and all reductions happen over index-ordered
-arrays.  CSV output uses a fixed column order, a mandatory header, and 6
-significant digits, and every row carries the full configuration tuple.
+seed.  Replicate k of cell c draws from a substream seeded with
+SeedSequence((master, experiment_id, cell_index, k, stream)); a runner derives
+the seeds of all its cell's replicates in one pass (``substream_seeds``) and
+maps the workers over them, so results are identical whatever the execution
+order or degree of parallelism.  Workers return per-replicate values and all
+reductions happen over replicate-ordered arrays.  CSV output uses a fixed
+column order, a mandatory header, and 6 significant digits, and every row
+carries the full configuration tuple.
 """
 
 from __future__ import annotations
@@ -59,11 +61,22 @@ SIZE_ESTIMATORS = ("cr", "gr", "grcr")
 NORMALIZATIONS = ("exact", "estimated")
 _EXPERIMENT_IDS = {name: i for i, name in enumerate(EXPERIMENTS)}
 
-# Stream tags inside one replicate.
+# Stream tags inside one replicate: the walk, its paired walk, the motif-ratio walk.
 _STREAM_X = 0
 _STREAM_Y = 1
+_STREAM_RATIO = 2
 
-_MASK = (1 << 63) - 1
+_MAX_SEED = 1 << 63
+
+# SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -120,6 +133,8 @@ class CampaignConfig:
                 raise ConfigError(f"unknown {name} {value!r}; expected one of {allowed}")
         if self.graph_seed < 0:
             raise ConfigError(f"graph_seed={self.graph_seed} must be >= 0")
+        if not 0 <= self.seed < _MAX_SEED:
+            raise ConfigError(f"seed={self.seed} must be in [0, 2**63)")
         if self.burn_in is not None and self.burn_in < 0:
             raise ConfigError(f"burn_in={self.burn_in} must be >= 0")
         if self.jobs < 1:
@@ -142,13 +157,58 @@ def load_graph(cfg: CampaignConfig) -> Graph:
     )
 
 
-def substream_seed(master: int, *path: int) -> int:
-    ss = np.random.SeedSequence(entropy=[master & _MASK, *(p & _MASK for p in path)])
-    return int(ss.generate_state(1, np.uint64)[0])
+def _uint32_words(value: int) -> list[np.ndarray]:
+    """The 32-bit words SeedSequence reads from a non-negative int, least significant first."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return [np.array([w], dtype=np.uint32) for w in words]
 
 
-def replicate_rng(master: int, experiment: str, cell: int, rep: int, stream: int = 0) -> random.Random:
-    return random.Random(substream_seed(master, _EXPERIMENT_IDS[experiment], cell, rep, stream))
+def substream_seeds(master: int, experiment: str, cell: int, n: int, stream: int) -> list[int]:
+    """Seeds of replicates k = 0..n-1 of one cell and stream, each exactly
+    SeedSequence([master, experiment_id, cell, k, stream]).generate_state(1, np.uint64)[0].
+
+    SeedSequence's hash constants evolve independently of the data, so every
+    step of its entropy mixing and state generation is one uint32 array
+    operation over the replicate axis (arrays wrap mod 2**32 as its C code
+    does).  Only k varies along that axis, and it is one word.
+    """
+    assert 0 <= n <= 1 << 32, "replicate indices must fit one 32-bit word"
+    entropy = [*_uint32_words(master), *_uint32_words(_EXPERIMENT_IDS[experiment]),
+               *_uint32_words(cell), np.arange(n, dtype=np.uint32), *_uint32_words(stream)]
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * hash_a
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    # Five words at least, so the entropy always fills the pool.
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(1, np.uint64): two words from the pool, low word first.
+    hash_b = _INIT_B
+    halves = []
+    for word in pool[:2]:
+        word = word ^ hash_b
+        hash_b = hash_b * _MULT_B & _MASK32
+        word = word * hash_b
+        halves.append((word ^ (word >> 16)).astype(np.uint64))
+    return (halves[0] | halves[1] << 32).tolist()
 
 
 COMMON_COLUMNS = (
@@ -191,13 +251,14 @@ def render_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_indexed(worker, n: int, jobs: int):
-    """Run worker(k) for k in range(n), results in index order."""
+def _run_indexed(worker, jobs: int, *seeds: list[int]):
+    """Run worker(seed_x[, seed_y]) over the replicates' seeds, one list per
+    stream, with results in replicate order."""
     if jobs <= 1:
-        return [worker(k) for k in range(n)]
+        return list(map(worker, *seeds))
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, n // (jobs * 8))
-        return list(pool.map(worker, range(n), chunksize=chunk))
+        chunk = max(1, len(seeds[0]) // (jobs * 8))
+        return list(pool.map(worker, *seeds, chunksize=chunk))
 
 
 def _walk_config(cfg: CampaignConfig, r: float, w: float, length: int) -> WalkConfig:
@@ -280,9 +341,8 @@ CONVERGENCE_COLUMNS = COMMON_COLUMNS + (
 
 
 def _convergence_rep(graph: Graph, wcfg: WalkConfig, checkpoints: tuple[int, ...],
-                     master: int, cell: int, k: int) -> tuple[float, ...]:
-    rng = replicate_rng(master, "convergence", cell, k, _STREAM_X)
-    trace = run_walk(graph, wcfg, rng)
+                     seed: int) -> tuple[float, ...]:
+    trace = run_walk(graph, wcfg, random.Random(seed))
     return tuple(graph.values[trace.states[t]] for t in checkpoints)
 
 
@@ -314,9 +374,9 @@ def run_convergence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dic
                 else:
                     p0 = np.zeros(graph.n)
                     p0[node] = 1.0
-                worker = functools.partial(_convergence_rep, graph, wcfg, checkpoints,
-                                           cfg.seed, cell)
-                values = np.asarray(_run_indexed(worker, cfg.replicates, cfg.jobs))
+                worker = functools.partial(_convergence_rep, graph, wcfg, checkpoints)
+                seeds = substream_seeds(cfg.seed, "convergence", cell, cfg.replicates, _STREAM_X)
+                values = np.asarray(_run_indexed(worker, cfg.jobs, seeds))
                 exact = {t: float(marginal_at_t(graph, wcfg, p0, t, chain=chain) @ y)
                          for t in checkpoints}
                 for idx, t in enumerate(checkpoints):
@@ -343,9 +403,8 @@ PREVALENCE_COLUMNS = COMMON_COLUMNS + (
 
 
 def _prevalence_rep(graph: Graph, wcfg: WalkConfig, burn_in: int, scheme: str,
-                    master: int, cell: int, k: int) -> tuple[float, float]:
-    rng = replicate_rng(master, "prevalence", cell, k, _STREAM_X)
-    trace = _analysis_trace(graph, wcfg, burn_in, rng)
+                    seed: int) -> tuple[float, float]:
+    trace = _analysis_trace(graph, wcfg, burn_in, random.Random(seed))
     sg = build_sample_graph(graph, trace)
     try:
         mu = estimate_ratio(trace, sg, wcfg, MotifKind.NODE, "product", "ones", scheme)
@@ -367,9 +426,9 @@ def run_prevalence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dict
     rows = []
     for cell, (length, r, w) in enumerate(_grid(cfg)):
         wcfg = _walk_config(cfg, r, w, length)
-        worker = functools.partial(_prevalence_rep, graph, wcfg, burn, cfg.weights,
-                                   cfg.seed, cell)
-        values = np.asarray(_run_indexed(worker, cfg.replicates, cfg.jobs))
+        worker = functools.partial(_prevalence_rep, graph, wcfg, burn, cfg.weights)
+        seeds = substream_seeds(cfg.seed, "prevalence", cell, cfg.replicates, _STREAM_X)
+        values = np.asarray(_run_indexed(worker, cfg.jobs, seeds))
         mu = replicate_summary(values[:, 0])
         failure_rate = float(np.mean(np.isnan(values[:, 0])))
         rows.append({
@@ -412,13 +471,11 @@ def _paired_size_stats(graph: Graph, wcfg: WalkConfig, burn_in: int, trace_x: Wa
 
 
 def _size_rep(graph: Graph, wcfg: WalkConfig, burn_in: int,
-              master: int, cell: int, k: int) -> tuple[float, float, float, float]:
+              seed_x: int, seed_y: int) -> tuple[float, float, float, float]:
     """The SIZE_ESTIMATORS estimates in that order, then 1.0 if the CR one is negative."""
-    rng_x = replicate_rng(master, "size", cell, k, _STREAM_X)
-    trace_x = _analysis_trace(graph, wcfg, burn_in, rng_x)
-    rng_y = replicate_rng(master, "size", cell, k, _STREAM_Y)
+    trace_x = _analysis_trace(graph, wcfg, burn_in, random.Random(seed_x))
     stat, d_bar = _paired_size_stats(graph, wcfg, burn_in, trace_x,
-                                     build_sample_graph(graph, trace_x), rng_y)
+                                     build_sample_graph(graph, trace_x), random.Random(seed_y))
     gr = estimate_size_gr(d_bar, graph.n).r_hat
     if stat.m <= 0:
         return np.nan, gr, np.nan, 0.0
@@ -440,8 +497,10 @@ def run_size(cfg: CampaignConfig, graph: Graph | None = None) -> list[dict]:
     rows = []
     for cell, (n_states, r, w) in enumerate(_grid(cfg)):
         wcfg = _walk_config(cfg, r, w, n_states - 1)
-        worker = functools.partial(_size_rep, graph, wcfg, burn, cfg.seed, cell)
-        values = np.asarray(_run_indexed(worker, cfg.replicates, cfg.jobs))
+        worker = functools.partial(_size_rep, graph, wcfg, burn)
+        seeds = [substream_seeds(cfg.seed, "size", cell, cfg.replicates, stream)
+                 for stream in (_STREAM_X, _STREAM_Y)]
+        values = np.asarray(_run_indexed(worker, cfg.jobs, *seeds))
         collision_failures = float(np.mean(np.isnan(values[:, 0])))
         for name in cfg.estimators:
             summary = replicate_summary(values[:, SIZE_ESTIMATORS.index(name)])
@@ -479,15 +538,14 @@ MOTIF_COLUMNS = COMMON_COLUMNS + (
 
 
 def _total_rep(graph: Graph, wcfg: WalkConfig, burn_in: int, motif: MotifKind, scheme: str,
-               normalization: str, master: int, cell: int, k: int) -> float:
-    rng_x = replicate_rng(master, "motif-total", cell, k, _STREAM_X)
-    trace_x = _analysis_trace(graph, wcfg, burn_in, rng_x)
+               seed_x: int, seed_y: int | None = None) -> float:
+    """One total estimate; a paired-walk seed ``seed_y`` asks for estimated normalisation."""
+    trace_x = _analysis_trace(graph, wcfg, burn_in, random.Random(seed_x))
     sg = build_sample_graph(graph, trace_x)
-    if normalization == "exact":
+    if seed_y is None:
         size = float(graph.edge_count)
     else:
-        rng_y = replicate_rng(master, "motif-total", cell, k, _STREAM_Y)
-        stat, d_bar = _paired_size_stats(graph, wcfg, burn_in, trace_x, sg, rng_y)
+        stat, d_bar = _paired_size_stats(graph, wcfg, burn_in, trace_x, sg, random.Random(seed_y))
         if stat.m <= 0:
             return np.nan
         size = estimate_size_grcr(stat, d_bar, wcfg.r).r_hat
@@ -499,9 +557,8 @@ def _total_rep(graph: Graph, wcfg: WalkConfig, burn_in: int, motif: MotifKind, s
 
 
 def _ratio_rep(graph: Graph, wcfg: WalkConfig, burn_in: int, motif: MotifKind, scheme: str,
-               master: int, cell: int, k: int) -> float:
-    rng = replicate_rng(master, "motif-total", cell, k, _STREAM_X + 2)
-    trace = _analysis_trace(graph, wcfg, burn_in, rng)
+               seed: int) -> float:
+    trace = _analysis_trace(graph, wcfg, burn_in, random.Random(seed))
     sg = build_sample_graph(graph, trace)
     try:
         return estimate_ratio(trace, sg, wcfg, motif, "product", "ones", scheme,
@@ -526,18 +583,19 @@ def run_motif_total(cfg: CampaignConfig, graph: Graph | None = None) -> list[dic
     true_total = graph_total(graph, occs)
     true_value_total = graph_total(graph, enumerate_motifs(graph, cfg.motif, "product"))
     true_ratio = true_value_total / true_total if true_total else np.nan
+    total_streams = (_STREAM_X,) if cfg.normalization == "exact" else (_STREAM_X, _STREAM_Y)
     rows = []
     for cell, (length, r, w) in enumerate(_grid(cfg)):
         wcfg = _walk_config(cfg, r, w, length)
-        total_worker = functools.partial(_total_rep, graph, wcfg, burn, cfg.motif,
-                                         cfg.weights, cfg.normalization, cfg.seed, cell)
-        ratio_worker = functools.partial(_ratio_rep, graph, wcfg, burn, cfg.motif,
-                                         cfg.weights, cfg.seed, cell)
-        for target, worker, b in (
-            ("total", total_worker, cfg.replicates),
-            ("ratio", ratio_worker, cfg.replicates_ratio),
+        total_worker = functools.partial(_total_rep, graph, wcfg, burn, cfg.motif, cfg.weights)
+        ratio_worker = functools.partial(_ratio_rep, graph, wcfg, burn, cfg.motif, cfg.weights)
+        for target, worker, b, streams in (
+            ("total", total_worker, cfg.replicates, total_streams),
+            ("ratio", ratio_worker, cfg.replicates_ratio, (_STREAM_RATIO,)),
         ):
-            values = np.asarray(_run_indexed(worker, b, cfg.jobs))
+            seeds = [substream_seeds(cfg.seed, "motif-total", cell, b, stream)
+                     for stream in streams]
+            values = np.asarray(_run_indexed(worker, cfg.jobs, *seeds))
             summary = replicate_summary(values)
             failure_rate = float(np.mean(np.isnan(values)))
             rows.append({

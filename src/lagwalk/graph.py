@@ -92,7 +92,7 @@ class Graph:
         if len(values) != n:
             raise ConfigError(f"need {n} node values, got {len(values)}")
         self.values: tuple[float, ...] = tuple(float(v) for v in values)
-        self._matrix: np.ndarray | None = None
+        self._derived: dict = {}
 
     @property
     def edge_count(self) -> int:
@@ -110,15 +110,27 @@ class Graph:
     def value(self, v: int) -> float:
         return self.values[v]
 
+    def derived(self, key, build):
+        """``build()``, computed once per ``key`` and kept on this graph.
+
+        The structure is immutable, so a table derived from it stays valid;
+        the tables travel with the graph when it is pickled.
+        """
+        table = self._derived.get(key)
+        if table is None:
+            table = self._derived[key] = build()
+        return table
+
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (cached)."""
-        if self._matrix is None:
-            m = np.zeros((self.n, self.n), dtype=np.uint8)
-            for i, j in self.edges:
-                m[i, j] = 1
-                m[j, i] = 1
-            self._matrix = m
-        return self._matrix
+        return self.derived("adjacency", self._build_adjacency)
+
+    def _build_adjacency(self) -> np.ndarray:
+        m = np.zeros((self.n, self.n), dtype=np.uint8)
+        for i, j in self.edges:
+            m[i, j] = 1
+            m[j, i] = 1
+        return m
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -350,8 +350,9 @@ def sequence_prob(provider, cfg: WalkConfig, sequence, size: float | None = None
 def sample_initial_state(g: Graph, cfg: WalkConfig, rng: random.Random) -> int:
     """Draw X_0 according to the configured start mode."""
     if cfg.init == "stationary":
-        weights = stationary_node(g, cfg)
-        cum = np.cumsum(weights).tolist()
+        # The cumulative stationary law is built once per (graph, r).
+        cum = g.derived(("stationary-cumsum", cfg.r),
+                        lambda: np.cumsum(stationary_node(g, cfg)).tolist())
         # min() guards the (rounding-only) case u == cum[-1]
         return min(bisect.bisect_right(cum, rng.random() * cum[-1]), g.n - 1)
     if cfg.init == "uniform":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from lagwalk import (
     TotalEstimate,
     UnobservedEntryError,
     sequence_prob,
+    stationary_node,
 )
 from lagwalk.sampling import OBSERVATION_ORDER, detect_observations, equivalent_sequences
 
@@ -56,6 +58,13 @@ def random_graph(n: int, p: float, seed: int, n_isolated: int = 0, values=None) 
     live = n - n_isolated
     edges = [(i, j) for i, j in itertools.combinations(range(live), 2) if rng.random() < p]
     return Graph(n, edges, values)
+
+
+def reference_stationary_start(g: Graph, cfg, rng: random.Random) -> int:
+    """A stationary start drawn with the cumulative law rebuilt on every call:
+    one rng.random() and the same bisect as the sampler."""
+    cum = np.cumsum(stationary_node(g, cfg)).tolist()
+    return min(bisect.bisect_right(cum, rng.random() * cum[-1]), g.n - 1)
 
 
 def relabeled(g: Graph, perm: list[int]) -> Graph:

@@ -3,9 +3,13 @@
 import csv
 import hashlib
 import io
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lagwalk import (
     CampaignConfig,
@@ -37,14 +41,13 @@ from lagwalk.errors import ObservationFailureError
 from lagwalk.experiments import (
     format_cell,
     render_csv,
-    replicate_rng,
     run_campaign,
     run_convergence,
     run_motif_total,
     run_prevalence,
     run_size,
     run_stationary_check,
-    substream_seed,
+    substream_seeds,
 )
 from lagwalk.sampling import WalkTrace
 from helpers import complete_graph, path_graph
@@ -60,24 +63,41 @@ def small_cfg(**kw):
     return CampaignConfig(**base)
 
 
+STREAM_TAGS = (experiments._STREAM_X, experiments._STREAM_Y, experiments._STREAM_RATIO)
+
+
+def seed_sequence_seed(master, experiment, cell, k, stream):
+    """The seed of one replicate, from numpy's SeedSequence itself."""
+    ss = np.random.SeedSequence([master, experiments.EXPERIMENTS.index(experiment), cell, k, stream])
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 class TestSeeding:
-    def test_substream_determinism(self):
-        a = substream_seed(3, 1, 2, 0)
-        assert a == substream_seed(3, 1, 2, 0)
-        assert a != substream_seed(3, 1, 2, 1)
-        assert a != substream_seed(4, 1, 2, 0)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(master=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1)),
+           experiment=st.sampled_from(experiments.EXPERIMENTS), cell=st.integers(0, 200),
+           n=st.integers(0, 50), stream=st.sampled_from(STREAM_TAGS))
+    @example(master=0, experiment="stationary-check", cell=0, n=1, stream=0)
+    @example(master=2**32 - 1, experiment="size", cell=3, n=50, stream=1)
+    @example(master=2**32, experiment="motif-total", cell=7, n=50, stream=2)
+    @example(master=2**63 - 1, experiment="prevalence", cell=0, n=50, stream=0)
+    def test_substream_seeds_match_seed_sequence(self, master, experiment, cell, n, stream):
+        """Masters of one and two 32-bit words, k from 0, every stream tag."""
+        seeds = substream_seeds(master, experiment, cell, n, stream)
+        assert seeds == [seed_sequence_seed(master, experiment, cell, k, stream)
+                         for k in range(n)]
+        assert all(type(seed) is int for seed in seeds)
+        assert len(set(seeds)) == n
 
-    def test_replicate_streams_differ(self):
-        r1 = replicate_rng(1, "size", 0, 0, 0)
-        r2 = replicate_rng(1, "size", 0, 0, 1)
-        r3 = replicate_rng(1, "size", 0, 1, 0)
-        draws = {tuple(r.random() for _ in range(3)) for r in (r1, r2, r3)}
-        assert len(draws) == 3
+    def test_substream_seeds_spot_check_5000(self):
+        master, stream = 2**40 + 9, experiments._STREAM_RATIO
+        seeds = substream_seeds(master, "motif-total", 11, 5000, stream)
+        assert seeds == [seed_sequence_seed(master, "motif-total", 11, k, stream)
+                         for k in range(5000)]
 
-    def test_order_independence(self):
-        vals_fwd = [replicate_rng(9, "prevalence", 2, k).random() for k in range(5)]
-        vals_rev = [replicate_rng(9, "prevalence", 2, k).random() for k in reversed(range(5))]
-        assert vals_fwd == list(reversed(vals_rev))
+    def test_replicate_index_fits_one_word(self):
+        with pytest.raises(AssertionError, match="32-bit word"):
+            substream_seeds(1, "size", 0, 2**32 + 1, 0)
 
 
 class TestStationaryCheckRunner:
@@ -131,15 +151,16 @@ class TestPrevalenceRunner:
 
     def test_failed_replicate_counts_as_failure(self, monkeypatch):
         rep = experiments._prevalence_rep
+        seeds = substream_seeds(7, "prevalence", 0, 4, experiments._STREAM_X)
 
-        def one_fails(graph, wcfg, burn_in, scheme, master, cell, k):
-            mu, psi = rep(graph, wcfg, burn_in, scheme, master, cell, k)
-            return (np.nan if k == 1 else mu), psi
+        def one_fails(graph, wcfg, burn_in, scheme, seed):
+            mu, psi = rep(graph, wcfg, burn_in, scheme, seed)
+            return (np.nan if seed == seeds[1] else mu), psi
 
         cfg = small_cfg(replicates=4, max_failure_rate=0.5)
         (full,) = run_prevalence(cfg)
         ok = np.array([rep(experiments.load_graph(cfg), experiments._walk_config(cfg, 0.5, 1.0, 12),
-                           0, "multiplicity", 7, 0, k)[0] for k in (0, 2, 3)])
+                           0, "multiplicity", seeds[k])[0] for k in (0, 2, 3)])
         monkeypatch.setattr(experiments, "_prevalence_rep", one_fails)
         (row,) = run_prevalence(cfg)
         assert full["failure_rate"] == 0.0
@@ -170,20 +191,21 @@ class TestSizeRunner:
         cfg = small_cfg(experiment="size", lengths=(20,), replicates=4, max_failure_rate=1.0)
         graph = experiments.load_graph(cfg)
         wcfg = experiments._walk_config(cfg, 0.5, 1.0, 19)
-        traces = [experiments._analysis_trace(graph, wcfg, 0, experiments.replicate_rng(
-            7, "size", 0, 0, stream)) for stream in (0, 1)]
+        seed_x, seed_y = (substream_seeds(7, "size", 0, 1, stream)[0] for stream in (0, 1))
+        traces = [experiments._analysis_trace(graph, wcfg, 0, random.Random(seed))
+                  for seed in (seed_x, seed_y)]
         stat = count_collisions(*traces, graph, 0.5)
         d_bar = weighted_mean_degree(traces, [graph, graph], 0.5)
-        cr, gr, grcr, _ = experiments._size_rep(graph, wcfg, 0, 7, 0, 0)
+        cr, gr, grcr, _ = experiments._size_rep(graph, wcfg, 0, seed_x, seed_y)
         assert gr == estimate_size_gr(d_bar, graph.n).r_hat
         assert grcr == estimate_size_grcr(stat, d_bar, 0.5).r_hat
         assert cr == estimate_size_cr(stat, 0.5, graph.n).r_hat
 
         monkeypatch.setattr(experiments, "build_sample_graph", _sample_graph_missing_last_state)
         with pytest.raises(UnobservedEntryError):
-            experiments._size_rep(graph, wcfg, 0, 7, 0, 0)
+            experiments._size_rep(graph, wcfg, 0, seed_x, seed_y)
         with pytest.raises(UnobservedEntryError):
-            experiments._total_rep(graph, wcfg, 0, cfg.motif, "multiplicity", "estimated", 7, 0, 0)
+            experiments._total_rep(graph, wcfg, 0, cfg.motif, "multiplicity", seed_x, seed_y)
 
     def test_estimator_selection(self):
         cfg = small_cfg(experiment="size", lengths=(16,), replicates=10,
@@ -257,9 +279,20 @@ class TestReproducibility:
         assert a != b
 
     def test_parallel_equals_serial(self):
-        serial = render_csv(*run_campaign(small_cfg(replicates=20, jobs=1)))
-        parallel = render_csv(*run_campaign(small_cfg(replicates=20, jobs=2)))
-        assert serial == parallel
+        """--jobs 2 writes the bytes of --jobs 1 on every campaign that runs
+        replicates, paired walks (stream Y) included."""
+        motif = dict(experiment="motif-total", lengths=(20,), replicates=10, replicates_ratio=10,
+                     max_failure_rate=1.0)
+        for cfg in (
+            small_cfg(replicates=20),
+            small_cfg(experiment="convergence", replicates=20),  # all three inits
+            small_cfg(experiment="size", lengths=(20,), replicates=20, max_failure_rate=1.0),
+            small_cfg(**motif, normalization="exact"),
+            small_cfg(**motif, normalization="estimated"),
+        ):
+            serial = render_csv(*run_campaign(cfg))
+            parallel = render_csv(*run_campaign(replace(cfg, jobs=2)))
+            assert serial == parallel, (cfg.experiment, cfg.normalization)
 
 
 class TestConfigValidation:
@@ -502,6 +535,25 @@ class TestCli:
         (row,) = csv.DictReader(io.StringIO(out.read_text()))
         assert row["graph"] == "generated"
 
+    @pytest.mark.parametrize("seed", ["-1", "-3", str(2**63), str(2**63 + 5)])
+    def test_seed_outside_range_exits_2(self, capsys, monkeypatch, seed):
+        """A master seed outside [0, 2**63) would alias one inside it."""
+        monkeypatch.setattr(experiments, "run_walk", _no_walk)
+        code = self.run("prevalence", "--seed", seed, "--nodes", "10", "--cases", "2",
+                        "--walk-length", "5", "--replicates", "2")
+        assert code == EXIT_CONFIG
+        assert f"seed={seed} must be in [0, 2**63)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["0", str(2**63 - 1)])
+    def test_seed_range_ends_accepted(self, tmp_path, seed):
+        out = tmp_path / "out.csv"
+        code = self.run("prevalence", "--seed", seed, "--nodes", "10", "--cases", "2",
+                        "--walk-length", "5", "--replicates", "2", "--out", str(out))
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert rows
+        assert {row["master_seed"] for row in rows} == {seed}
+
     def test_negative_graph_seed_exits_2(self, capsys):
         code = self.run("prevalence", "--graph-seed", "-1", "--replicates", "2",
                         "--walk-length", "5")
@@ -679,13 +731,17 @@ class TestMonotoneInformation:
 
 # SHA-256 of campaign CSVs from tiny CLI configs, computed at commit 093f327,
 # before the window pass stopped building observation objects; the convergence
-# and uniform-start prevalence digests were computed at commit 9405a84.  A
-# change that alters a random stream or a float operation on purpose must
-# update these digests and say so.
+# and uniform-start prevalence digests were computed at commit 9405a84, and the
+# two-word-seed size and fixed-start prevalence digests at commit c454426,
+# before the replicate seeds were derived in one vectorised pass.  A change
+# that alters a random stream or a float operation on purpose must update
+# these digests and say so.
 DIGEST_ARGS = ["--nodes", "30", "--cases", "8", "--p-cc", "0.5", "--p-cn", "0.2", "--p-nn", "0.15",
-               "--graph-seed", "3", "--r", "0.5", "--w", "0.3", "--seed", "11"]
+               "--graph-seed", "3", "--r", "0.5", "--w", "0.3"]
 CSV_DIGESTS = {
     "convergence": "fe1c7f7a8a946a0efd34b3996d6aedfde73e30f1bc9ad7e849f939956bc1048b",
+    "size-two-word-seed": "bc6bacfca4dd5be62cbfa98faab60250093972e0881d77768350be232818296b",
+    "prevalence-fixed-init": "a923e310ccaab628ceccfeceb9ffe715464b472857d495449dcbf8b323ec0199",
     "prevalence-uniform-init": "9f96ca756b204bb547906f7e172b61b3ca106c555747bfa6e4fcac95ecda2531",
     "prevalence-multiplicity": "7e1db8455ef34a390c9a8ecc43bd0ab5324ab885b9d0d25d0c7ef517ef801473",
     "prevalence-ppw": "7e1db8455ef34a390c9a8ecc43bd0ab5324ab885b9d0d25d0c7ef517ef801473",
@@ -722,7 +778,10 @@ def _digest_argv(name):
         return ["convergence", "--replicates", "5"]
     if name == "prevalence-uniform-init":  # burns in 16 steps
         return ["prevalence", "--init", "uniform", "--walk-length", "30", "--replicates", "5"]
-    if name == "size":
+    if name == "prevalence-fixed-init":
+        return ["prevalence", "--init", "fixed:3", "--burn-in", "4", "--walk-length", "30",
+                "--replicates", "5"]
+    if name.startswith("size"):
         return ["size", "--walk-length", "40", "--replicates", "6"]
     if name.startswith("prevalence-"):
         return ["prevalence", "--weights", name.split("-", 1)[1], "--walk-length", "60",
@@ -737,5 +796,7 @@ class TestCsvDigests:
     def test_csv_bytes(self, tmp_path, name):
         out = tmp_path / "out.csv"
         cap = [] if name == "convergence" else ["--max-failure-rate", "1"]  # convergence has none
-        assert main(_digest_argv(name) + DIGEST_ARGS + cap + ["--out", str(out)]) == EXIT_OK
+        seed = "4294967301" if name == "size-two-word-seed" else "11"  # 2**32 + 5: two words
+        argv = _digest_argv(name) + DIGEST_ARGS + cap + ["--seed", seed, "--out", str(out)]
+        assert main(argv) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[name]

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from lagwalk import (
 )
 from lagwalk import kernel
 from lagwalk.kernel import make_stepper, sample_initial_state
-from helpers import cycle_graph, path_graph, random_graph
+from helpers import cycle_graph, path_graph, random_graph, reference_stationary_start
 
 GRID = [(0.1, 0.0), (0.1, 0.5), (0.1, 1.0), (1.0, 0.0), (1.0, 0.5), (1.0, 1.0),
         (6.0, 0.0), (6.0, 0.5), (6.0, 1.0)]
@@ -548,3 +549,25 @@ class TestInitialState:
         target = stationary_node(path5, cfg)
         se = np.sqrt(target * (1 - target) / n_draws)
         assert (np.abs(freq - target) <= 5 * se).all()
+
+    @pytest.mark.parametrize("graph", [
+        random_graph(10, 0.25, seed=2, n_isolated=2),
+        path_graph(6),
+        Graph(5, [(0, 1), (1, 2)]),
+    ], ids=["random-with-isolated", "path", "short-path-and-isolated"])
+    def test_start_table_matches_per_call_draw(self, graph):
+        """The per-graph start table gives the draws of the law rebuilt on every
+        call, with two r values alternating on one graph, on copies pickled
+        before and after the tables are built."""
+
+        def check(g):
+            rng, ref_rng = random.Random(5), random.Random(5)
+            for i in range(300):
+                cfg = WalkConfig(r=(0.1, 6.0)[i % 2])
+                assert sample_initial_state(g, cfg, rng) == reference_stationary_start(g, cfg, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+
+        copied_unused = pickle.loads(pickle.dumps(graph))
+        check(graph)
+        check(pickle.loads(pickle.dumps(graph)))
+        check(copied_unused)
