@@ -290,36 +290,27 @@ def estimate_ratio(
     provider,
     cfg: WalkConfig,
     kind: MotifKind,
-    numerator_values: str = "product",
-    denominator_values: str = "ones",
     scheme: str = "multiplicity",
     ppw_fallback: bool = False,
 ) -> float:
-    """Ratio of two combined totals computed with unnormalised probabilities.
+    """Value total over count total, both computed with unnormalised probabilities.
 
     The unknown constant 2R + rN cancels, so no size estimate is involved.
     Both totals share the same informative windows, which makes the
     node-motif case the classic ratio estimator of a population mean.
     """
-    num_product, den_product = numerator_values == "product", denominator_values == "product"
-    detect_mode = "product" if num_product or den_product else "ones"
     num = 0.0
     den = 0.0
     informative = 0
-    for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, detect_mode, ppw_fallback):
+    for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, "product", ppw_fallback):
         if pi is None:
             continue
-        if not informative:
-            for mode in (numerator_values, denominator_values):
-                motif_value(provider, (), mode)  # an empty product: checks the mode only
         informative += 1
         for value, w in pairs:
-            num += w * (value if num_product else 1.0) / pi
-            den += w * (value if den_product else 1.0) / pi
+            num += w * value / pi
+            den += w / pi
     if informative == 0:
         raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
-    if den == 0.0:
-        raise EstimationError("denominator estimate is zero")
     return num / den
 
 

@@ -407,7 +407,7 @@ def _prevalence_rep(graph: Graph, wcfg: WalkConfig, burn_in: int, scheme: str,
     trace = _analysis_trace(graph, wcfg, burn_in, random.Random(seed))
     sg = build_sample_graph(graph, trace)
     try:
-        mu = estimate_ratio(trace, sg, wcfg, MotifKind.NODE, "product", "ones", scheme)
+        mu = estimate_ratio(trace, sg, wcfg, MotifKind.NODE, scheme)
     except NoObservationsError:
         mu = np.nan
     return mu, trace.traverse
@@ -561,8 +561,7 @@ def _ratio_rep(graph: Graph, wcfg: WalkConfig, burn_in: int, motif: MotifKind, s
     trace = _analysis_trace(graph, wcfg, burn_in, random.Random(seed))
     sg = build_sample_graph(graph, trace)
     try:
-        return estimate_ratio(trace, sg, wcfg, motif, "product", "ones", scheme,
-                              ppw_fallback=True)
+        return estimate_ratio(trace, sg, wcfg, motif, scheme, ppw_fallback=True)
     except NoObservationsError:
         return np.nan
 

@@ -113,13 +113,16 @@ class Graph:
     def derived(self, key, build):
         """``build()``, computed once per ``key`` and kept on this graph.
 
-        The structure is immutable, so a table derived from it stays valid;
-        the tables travel with the graph when it is pickled.
+        The structure is immutable, so a table derived from it stays valid.
+        A pickled graph leaves the tables behind; its copy builds its own.
         """
         table = self._derived.get(key)
         if table is None:
             table = self._derived[key] = build()
         return table
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_derived": {}}
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (cached)."""

@@ -221,7 +221,8 @@ class PairStateChain:
         (i, h) holds p(j | h, i) in column (h, j), taken from
         :func:`transition_row`, so from the law the estimators use.  It
         stores N^3 entries, so it is built on first access and refused above
-        ``MATRIX_MAX_STATES`` states.
+        ``MATRIX_MAX_STATES`` states.  It needs scipy, which only the ``test``
+        extra installs.
         """
         if self.n_states > MATRIX_MAX_STATES:
             raise StateSpaceError(

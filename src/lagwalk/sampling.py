@@ -194,20 +194,14 @@ def _window_occurrences(provider, window: tuple[int, ...], kind: MotifKind) -> l
             return []
         if provider.has_edge(x, z):
             return []  # chord: the window is not a piece of an induced 4-node motif
-        out: list[tuple] = []
+        # A fourth node h off y closes a cycle through both ends, or extends
+        # the path at one end only (the z side first).
+        nx, nz = provider.neighbors_of(x), provider.neighbors_of(z)
         if kind is MotifKind.FOUR_CYCLE:
-            closing = (provider.neighbors_of(x) & provider.neighbors_of(z)) - {y}
-            for h in sorted(closing):
-                if not provider.has_edge(y, h):
-                    out.append((None, frozenset((x, y, z, h))))
+            fourth = sorted((nx & nz) - {y})
         else:
-            for h in sorted(provider.neighbors_of(z) - {x, y}):
-                if not provider.has_edge(x, h) and not provider.has_edge(y, h):
-                    out.append((None, frozenset((x, y, z, h))))
-            for h in sorted(provider.neighbors_of(x) - {y, z}):
-                if not provider.has_edge(z, h) and not provider.has_edge(y, h):
-                    out.append((None, frozenset((h, x, y, z))))
-        return out
+            fourth = sorted(nz - nx) + sorted(nx - nz)
+        return [(None, frozenset((x, y, z, h))) for h in fourth if not provider.has_edge(y, h)]
     raise ConfigError(f"unsupported motif kind {kind!r}")
 
 
@@ -241,55 +235,31 @@ def equivalent_sequences(provider, obs: MotifObservation) -> tuple[tuple[int, ..
 
 
 def _equivalent_sequences(provider, kind: MotifKind, nodes, center: int | None):
+    """The windows on which the observation rule of ``kind`` reveals the occurrence, sorted.
+
+    Raises :class:`ConfigError` unless there are ``MULTIPLICITY[kind]`` of
+    them, which is how a node set that does not form the kind shows.
+    """
     nodes = sorted(nodes)
-    if kind is MotifKind.NODE:
-        return ((nodes[0],),)
-    if kind is MotifKind.EDGE:
-        return tuple((v,) for v in nodes)
-    if kind is MotifKind.TWO_STAR:
-        return ((center,),)
-    if kind is MotifKind.TRIANGLE:
-        return tuple(itertools.permutations(nodes, 2))
-    if kind is MotifKind.FOUR_CYCLE:
-        order = _cycle_order(provider, nodes)
-        seqs = []
-        for idx in range(4):
-            u, m, v = order[idx - 1], order[idx], order[(idx + 1) % 4]
-            seqs.append((u, m, v))
-            seqs.append((v, m, u))
-        return tuple(sorted(seqs))
-    if kind is MotifKind.THREE_PATH:
-        e1, m1, m2, e2 = _path_order(provider, nodes)
-        return tuple(sorted([(e1, m1, m2), (m2, m1, e1), (m1, m2, e2), (e2, m2, m1)]))
-    raise ConfigError(f"unsupported motif kind {kind!r}")
-
-
-def _cycle_order(provider, nodes: list[int]) -> list[int]:
-    """Arrange 4 nodes of an induced cycle in traversal order."""
-    start = nodes[0]
-    inside = set(nodes)
-    first = sorted(j for j in nodes if j != start and provider.has_edge(start, j))
-    if len(first) != 2:
-        raise ConfigError(f"nodes {nodes} do not form an induced 4-cycle")
-    second = first[0]
-    third = [j for j in inside - {start, second} if provider.has_edge(second, j)]
-    if len(third) != 1:
-        raise ConfigError(f"nodes {nodes} do not form an induced 4-cycle")
-    last = (inside - {start, second, third[0]}).pop()
-    return [start, second, third[0], last]
-
-
-def _path_order(provider, nodes: list[int]) -> tuple[int, int, int, int]:
-    """Arrange 4 nodes of an induced path endpoint-to-endpoint."""
-    inside = set(nodes)
-    ends = [v for v in nodes if sum(provider.has_edge(v, u) for u in inside - {v}) == 1]
-    if len(ends) != 2:
-        raise ConfigError(f"nodes {nodes} do not form an induced 4-node path")
-    e1 = min(ends)
-    m1 = next(u for u in inside - {e1} if provider.has_edge(e1, u))
-    m2 = next(u for u in inside - {e1, m1} if provider.has_edge(m1, u))
-    e2 = (inside - {e1, m1, m2}).pop()
-    return e1, m1, m2, e2
+    if kind is MotifKind.NODE or kind is MotifKind.EDGE:
+        seqs = tuple(zip(nodes))
+    elif kind is MotifKind.TWO_STAR:
+        seqs = ((center,),)
+    elif kind is MotifKind.TRIANGLE:
+        seqs = tuple(itertools.permutations(nodes, 2))
+    elif kind is MotifKind.FOUR_CYCLE or kind is MotifKind.THREE_PATH:
+        # Two successive moves (u, m, v) inside the node set, which the
+        # fourth node completes.
+        seqs = ()
+        if len(nodes) == 4:
+            seqs = tuple(sorted(
+                (u, m, v) for m in nodes
+                for u, v in itertools.permutations([j for j in nodes if provider.has_edge(m, j)], 2)))
+    else:
+        raise ConfigError(f"unsupported motif kind {kind!r}")
+    if len(seqs) != MULTIPLICITY[kind]:
+        raise ConfigError(f"nodes {nodes} do not form a {kind.value}")
+    return seqs
 
 
 def _ppw_weights(provider, kind, nodes, center, prob) -> dict[tuple[int, ...], float]:

@@ -11,7 +11,6 @@ import numpy as np
 from lagwalk import (
     ConfigError,
     Es3CoverageError,
-    EstimationError,
     Graph,
     NoObservationsError,
     TotalEstimate,
@@ -259,24 +258,19 @@ def reference_total(trace, provider, cfg, kind, scheme="multiplicity", value_mod
     return TotalEstimate(sum(values) / len(values), tuple(values), tuple(flags), kind, scheme)
 
 
-def reference_ratio(trace, provider, cfg, kind, numerator_values="product",
-                    denominator_values="ones", scheme="multiplicity", ppw_fallback=False):
-    """Single-kind ratio: num and den accumulate one observation at a time."""
-    mode_value = {"ones": lambda obs: 1.0, "product": lambda obs: obs.occurrence.value}
-    detect_mode = "product" if "product" in (numerator_values, denominator_values) else "ones"
+def reference_ratio(trace, provider, cfg, kind, scheme="multiplicity", ppw_fallback=False):
+    """Value total over count total: both accumulate one observation at a time."""
     num = den = 0.0
     informative = 0
-    for obs_list in reference_windows(trace, provider, kind, detect_mode):
+    for obs_list in reference_windows(trace, provider, kind, "product"):
         if not obs_list:
             continue
         informative += 1
         pi = sequence_prob(provider, cfg, obs_list[0].sequence)
         for obs in obs_list:
             w = _reference_weight(provider, cfg, obs, scheme, ppw_fallback)
-            num += w * mode_value[numerator_values](obs) / pi
-            den += w * mode_value[denominator_values](obs) / pi
+            num += w * obs.occurrence.value / pi
+            den += w / pi
     if informative == 0:
         raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
-    if den == 0.0:
-        raise EstimationError("denominator estimate is zero")
     return num / den

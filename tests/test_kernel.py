@@ -244,13 +244,27 @@ class TestPairChain:
                     frontier.append(int(t))
         assert len(reach) == n_states
 
-    def test_package_import_loads_no_scipy(self):
-        # scipy is needed only for the explicit reference matrix.
+    def test_package_import_loads_no_scipy(self, tmp_path):
+        """scipy is needed only for the explicit reference matrix: the package
+        imports without loading it, and every campaign runs with it blocked."""
         src = os.path.dirname(os.path.dirname(kernel.__file__))
         code = "import sys, lagwalk; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True).stdout
         assert out.strip() == "False"
+        blocked = ("import sys; sys.modules['scipy'] = None\n"
+                   "from lagwalk.cli import main; sys.exit(main(sys.argv[1:]))")
+        graph = ["--nodes", "12", "--cases", "3", "--p-cc", "0.6", "--p-cn", "0.3", "--p-nn", "0.3",
+                 "--graph-seed", "2", "--r", "0.5", "--w", "0.3", "--jobs", "1"]
+        walks = ["--walk-length", "10", "--replicates", "3", "--max-failure-rate", "1"]
+        for campaign in (["stationary-check"], ["convergence", "--replicates", "3"],
+                         ["prevalence", *walks], ["size", *walks],
+                         ["motif-total", *walks, "--replicates-ratio", "3"]):
+            out = tmp_path / f"{campaign[0]}.csv"
+            run = subprocess.run([sys.executable, "-c", blocked, *campaign, *graph, "--out", str(out)],
+                                 env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+            assert run.returncode == 0, (campaign, run.stderr)
+            assert out.read_text().count("\n") > 1
 
     def test_requires_positive_jump_rate(self, path5):
         with pytest.raises(NonErgodicError):
@@ -571,3 +585,13 @@ class TestInitialState:
         check(graph)
         check(pickle.loads(pickle.dumps(graph)))
         check(copied_unused)
+
+    def test_pickle_leaves_derived_tables_behind(self):
+        """A pickled graph, as sent to every --jobs worker, carries no cached table."""
+        g = random_graph(30, 0.3, seed=4)
+        before = pickle.dumps(g)
+        build_pair_chain(g, WalkConfig(r=1.0))
+        sample_initial_state(g, WalkConfig(r=0.5), random.Random(0))
+        assert g._derived
+        assert len(pickle.dumps(g)) == len(before)
+        assert pickle.loads(pickle.dumps(g)) == g

@@ -11,6 +11,7 @@ from lagwalk import (
     Es3CoverageError,
     Graph,
     MotifKind,
+    MotifOccurrence,
     UnobservedEntryError,
     WalkConfig,
     WalkTrace,
@@ -166,6 +167,18 @@ class TestDetection:
         # the only candidate cycle {0,1,2,3} has chord (0,2): never induced
         assert detect_observations(trace, sg, MotifKind.FOUR_CYCLE, "ones") == []
 
+    def test_order2_occurrences_keep_their_order(self):
+        """A window lists 4-cycles by closing node, and 3-paths z side first;
+        the window sums add up in this order."""
+        g = Graph(7, [(1, 2), (2, 3), (3, 5), (3, 4), (1, 6), (1, 0)])
+        trace = make_trace([1, 2, 3], g)
+        paths = [o.occurrence.nodes for o in detect_observations(trace, g, MotifKind.THREE_PATH)]
+        assert paths == [frozenset(q) for q in ((1, 2, 3, 4), (1, 2, 3, 5), (0, 1, 2, 3), (1, 2, 3, 6))]
+        g = Graph(5, [(0, 1), (1, 2), (0, 4), (4, 2), (0, 3), (3, 2)])
+        trace = make_trace([0, 1, 2], g)
+        cycles = [o.occurrence.nodes for o in detect_observations(trace, g, MotifKind.FOUR_CYCLE)]
+        assert cycles == [frozenset((0, 1, 2, 3)), frozenset((0, 1, 2, 4))]
+
     def test_values_travel_with_occurrences(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)], values=[1.0, 1.0, 0.0])
         trace = make_trace([0, 1], g)
@@ -202,23 +215,44 @@ class TestEquivalentSequences:
         assert seqs == {(0, 1, 2), (2, 1, 0), (1, 2, 3), (3, 2, 1)}
 
     @pytest.mark.parametrize("kind", list(MotifKind))
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", range(10))
     def test_detection_consistency_exhaustive(self, kind, seed):
-        """A window reveals kappa exactly when it belongs to kappa's sequence set."""
-        g = random_graph(6, 0.5, seed)
+        """The sequences of an occurrence are exactly the windows that reveal it, in sorted order."""
+        g = random_graph(5 + seed % 4, 0.5, seed)
+        full = build_sample_graph(g, make_trace(range(g.n), g))
         q = OBSERVATION_ORDER[kind]
-        f_sets = {}
-        for occ in enumerate_motifs(g, kind, "ones"):
-            probe = MotifObservation(occ, (), -1)
-            f_sets[(occ.nodes, occ.center)] = set(equivalent_sequences(g, probe))
-        for window in itertools.product(range(g.n), repeat=q + 1):
-            trace = make_trace(list(window), g)
-            detected = {
-                (o.occurrence.nodes, o.occurrence.center)
-                for o in detect_observations(trace, g, kind, "ones")
-            }
-            expected = {key for key, seqs in f_sets.items() if window in seqs}
-            assert detected == expected, (kind, window)
+        for provider in (g, full):
+            revealed = {}
+            for window in itertools.product(range(g.n), repeat=q + 1):
+                for o in detect_observations(make_trace(window, g), provider, kind, "ones"):
+                    revealed.setdefault((o.occurrence.nodes, o.occurrence.center), []).append(window)
+            occurrences = enumerate_motifs(g, kind, "ones")
+            assert set(revealed) == {(occ.nodes, occ.center) for occ in occurrences}
+            for occ in occurrences:
+                seqs = equivalent_sequences(provider, MotifObservation(occ, (), -1))
+                assert seqs == tuple(revealed[occ.nodes, occ.center]), (kind, occ)
+
+    @pytest.mark.parametrize("kind, edges, nodes", [
+        (MotifKind.NODE, [(0, 1)], (0, 1)),
+        (MotifKind.EDGE, [(0, 1), (1, 2)], (0, 1, 2)),
+        (MotifKind.TRIANGLE, [(0, 1), (1, 2), (2, 0), (2, 3)], (0, 1, 2, 3)),
+        (MotifKind.FOUR_CYCLE, [(0, 1), (1, 2), (2, 3)], (0, 1, 2, 3)),  # a path
+        (MotifKind.FOUR_CYCLE, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], (0, 1, 2, 3)),  # diamond
+        (MotifKind.FOUR_CYCLE, [(0, 1), (1, 2), (2, 3), (3, 0)], (0, 1, 2, 3, 4)),  # + isolated
+        (MotifKind.THREE_PATH, [(0, 1), (1, 2), (2, 3), (3, 0)], (0, 1, 2, 3)),  # a 4-cycle
+        (MotifKind.THREE_PATH, [(0, 1), (0, 2), (0, 3)], (0, 1, 2, 3)),  # a star
+        (MotifKind.THREE_PATH, [(0, 1), (1, 2), (2, 0), (2, 3)], (0, 1, 2, 3)),  # a paw
+    ])
+    def test_node_set_not_of_the_kind(self, kind, edges, nodes):
+        g = Graph(5, edges)
+        probe = MotifObservation(MotifOccurrence(kind, frozenset(nodes)), (), -1)
+        with pytest.raises(ConfigError, match=f"do not form a {kind.value}"):
+            equivalent_sequences(g, probe)
+
+    def test_unsupported_kind(self, c4):
+        probe = MotifObservation(MotifOccurrence("pentagon", frozenset(range(4))), (), -1)
+        with pytest.raises(ConfigError, match="unsupported motif kind"):
+            equivalent_sequences(c4, probe)
 
     def test_splice_property(self, figure_graph):
         """Replaying any equivalent sequence at the window re-detects the motif."""
@@ -300,13 +334,14 @@ class TestIncidenceWeights:
         with pytest.raises(ConfigError, match="unknown weight scheme"):
             estimate_total(trace, k3, cfg, MotifKind.TRIANGLE, "bogus")
         with pytest.raises(ConfigError, match="unknown weight scheme"):
-            estimate_ratio(trace, k3, cfg, MotifKind.TRIANGLE, "ones", "ones", "bogus")
+            estimate_ratio(trace, k3, cfg, MotifKind.TRIANGLE, "bogus")
 
 
 class TestObservabilityAudit:
     def test_unobserved_region_cannot_leak(self, figure_graph):
         """Changing the graph outside the observed region changes nothing."""
-        g1 = figure_walk_graph()
+        base = figure_walk_graph()
+        g1 = Graph(base.n, base.edges, [float(v % 3) for v in range(base.n)])
         trace = make_trace([0, 1, 2], g1, r=0.5, w=0.5)
         sg1 = build_sample_graph(g1, trace)
         # nodes 4, 5, 10, 11 are outside the seed; rewire among them
@@ -315,9 +350,9 @@ class TestObservabilityAudit:
         sg2 = build_sample_graph(g2, trace)
         assert observable_answers(sg1) == observable_answers(sg2)
         cfg = WalkConfig(r=0.5, w=0.5)
-        mu1 = estimate_ratio(trace, sg1, cfg, MotifKind.NODE, "ones", "ones")
-        mu2 = estimate_ratio(trace, sg2, cfg, MotifKind.NODE, "ones", "ones")
-        assert mu1 == mu2
+        mu1 = estimate_ratio(trace, sg1, cfg, MotifKind.NODE)
+        mu2 = estimate_ratio(trace, sg2, cfg, MotifKind.NODE)
+        assert mu1 == mu2 != 1.0
         t1 = estimate_total(trace, sg1, cfg, MotifKind.TRIANGLE, "multiplicity", "ones", size=15.0)
         t2 = estimate_total(trace, sg2, cfg, MotifKind.TRIANGLE, "multiplicity", "ones", size=15.0)
         assert t1.theta_hat == t2.theta_hat
