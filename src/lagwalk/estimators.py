@@ -159,18 +159,15 @@ def _window_pass(windows, value_of, provider, cfg: WalkConfig, kind: MotifKind, 
     """``(pi, [(value, weight), ...])`` for each ``(window, occurrence keys)`` of ``windows``.
 
     ``value_of`` maps a key to the occurrence's value; an empty window yields
-    ``(None, [])``.  Window probabilities are normalised by ``size`` if one
-    is given.  For the pass only, sequence probabilities are memoised by
-    sequence (shared by ppw weights and unnormalised window probabilities),
-    and ppw tables, or the coverage failures that replace them by
-    multiplicity weights, by occurrence key.
+    ``(None, [])``.  Given a ``size`` R, a window's probability is its
+    unnormalised weight divided by 2R + rN; without one it stays
+    unnormalised.  For the pass only, unnormalised sequence probabilities
+    are memoised by sequence (shared by ppw weights and window
+    probabilities), and ppw tables, or the coverage failures that replace
+    them by multiplicity weights, by occurrence key.
     """
     prob = functools.cache(functools.partial(sequence_prob, provider, cfg))
-    # A normalised probability is not the memoised value divided by the
-    # constant: sequence_prob divides before it multiplies, and the two
-    # orders round differently.
-    window_prob = prob if size is None else functools.cache(
-        functools.partial(sequence_prob, provider, cfg, size=size))
+    norm = 1.0 if size is None else 2.0 * size + cfg.r * provider.n
     uniform = 1.0 / MULTIPLICITY[kind]
     tables: dict = {}
 
@@ -194,9 +191,9 @@ def _window_pass(windows, value_of, provider, cfg: WalkConfig, kind: MotifKind, 
         if not keys:
             yield None, []
         elif scheme == "multiplicity":
-            yield window_prob(window), [(value_of(key), uniform) for key in keys]
+            yield prob(window) / norm, [(value_of(key), uniform) for key in keys]
         else:
-            yield window_prob(window), [(value_of(key), ppw(key, window)) for key in keys]
+            yield prob(window) / norm, [(value_of(key), ppw(key, window)) for key in keys]
 
 
 def _trace_pass(trace: WalkTrace, provider, cfg: WalkConfig, kind: MotifKind, scheme: str,

@@ -120,6 +120,9 @@ class CampaignConfig:
             raise ConfigError("motif-total reports an SD and needs replicates_ratio >= 2")
         if not self.r_values or not self.w_values or not self.lengths:
             raise ConfigError("r, w and length grids must be nonempty")
+        for r in self.r_values:
+            for w in self.w_values:
+                WalkConfig(r=r, w=w)  # rejects a bad pair before any cell runs
         if self.experiment == "size" and min(self.lengths) < 1:
             raise ConfigError(f"size walk length {min(self.lengths)} must be >= 1: "
                               "it counts the states extracted per walk")
@@ -578,9 +581,9 @@ def run_motif_total(cfg: CampaignConfig, graph: Graph | None = None) -> list[dic
     graph = graph if graph is not None else load_graph(cfg)
     common = _common_columns(cfg, graph)
     burn = cfg.effective_burn_in()
-    occs = enumerate_motifs(graph, cfg.motif, "ones")
-    true_total = graph_total(graph, occs)
-    true_value_total = graph_total(graph, enumerate_motifs(graph, cfg.motif, "product"))
+    occs = enumerate_motifs(graph, cfg.motif, "product")
+    true_total = float(len(occs))
+    true_value_total = graph_total(graph, occs)
     true_ratio = true_value_total / true_total if true_total else np.nan
     total_streams = (_STREAM_X,) if cfg.normalization == "exact" else (_STREAM_X, _STREAM_Y)
     rows = []

@@ -315,11 +315,11 @@ def marginal_at_t(
     return chain.node_marginal(pair)
 
 
-def sequence_prob(provider, cfg: WalkConfig, sequence, size: float | None = None) -> float:
-    """Probability of a successive-state sequence at equilibrium.
+def sequence_prob(provider, cfg: WalkConfig, sequence) -> float:
+    """Unnormalised probability (d_0 + r) * prod p of a successive-state sequence at equilibrium.
 
-    The first factor is the stationary probability of the first state and
-    the first transition uses the lag-free kernel; later transitions use the
+    The first factor is the stationary weight of the first state and the
+    first transition uses the lag-free kernel; later transitions use the
     in-sequence predecessor.  This is exact for every w, with no predecessor
     to integrate out: the stationary pair law factorises as
     pi_pair(i, h) = pi(i) p(h | i, i) (see the module docstring).
@@ -327,15 +327,13 @@ def sequence_prob(provider, cfg: WalkConfig, sequence, size: float | None = None
     so an observed sample view suffices whenever the sequence lies inside
     the seed sample.
 
-    With ``size=None`` the result is unnormalised (the constant 2R + rN is
-    dropped), which is enough for ratio estimation.
+    The constant 2R + rN is left out: ratios cancel it, and the estimators
+    divide a window's weight by it to get the normalised probability.
     """
     seq = tuple(sequence)
     if not seq:
         raise ConfigError("sequence must contain at least one state")
-    r = cfg.r
-    d0 = provider.degree(seq[0])
-    value = d0 + r if size is None else (d0 + r) / (2.0 * size + r * provider.n)
+    value = provider.degree(seq[0]) + cfg.r
     prev = seq[0]
     for k in range(1, len(seq)):
         p = transition_prob(provider, cfg, prev, seq[k - 1], seq[k])

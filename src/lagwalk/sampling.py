@@ -33,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError, Es3CoverageError, UnobservedEntryError
+from .errors import ConfigError, Es3CoverageError, NonErgodicError, UnobservedEntryError
 from .graph import Graph, MotifKind, MotifOccurrence, motif_value
 from .kernel import WalkConfig, make_stepper, sample_initial_state
 
@@ -86,6 +86,9 @@ def run_walk(g: Graph, cfg: WalkConfig, rng: random.Random) -> WalkTrace:
     which keeps a stationary start exactly at equilibrium for every w.
     """
     x0 = sample_initial_state(g, cfg, rng)
+    if cfg.r == 0 and g.degrees[x0] == 0:
+        # no r = 0 step reaches a sink, so only the start can be one
+        raise NonErgodicError(f"node {x0} is a sink: degree 0 and r = 0")
     states = [x0]
     stepper = make_stepper(g, cfg)
     prev = cur = x0

@@ -226,7 +226,8 @@ def reference_total_window(observations, provider, cfg, scheme="multiplicity", s
     if not observations:
         return 0.0, 0
     window = observations[0].sequence
-    pi = sequence_prob(provider, cfg, window, size=size)
+    norm = 1.0 if size is None else 2.0 * size + cfg.r * provider.n
+    pi = sequence_prob(provider, cfg, window) / norm
     theta = 0.0
     for obs in observations:
         if obs.sequence != window:

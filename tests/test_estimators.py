@@ -35,7 +35,7 @@ from lagwalk import (
     transition_prob,
     weighted_mean_degree,
 )
-from lagwalk import LagwalkError, enumerate_motifs
+from lagwalk import LagwalkError, enumerate_motifs, estimators
 from lagwalk.sampling import (
     MULTIPLICITY,
     OBSERVATION_ORDER,
@@ -441,6 +441,27 @@ class TestWindowPass:
                 else:
                     got = dict.fromkeys(equivalent_sequences(provider, obs), 1.0 / MULTIPLICITY[kind])
                 assert got == _outcome(reference_weights, provider, cfg, obs, scheme)
+
+    def test_size_adds_no_sequence_prob_call(self, monkeypatch):
+        """A total's window probability is the memoised unnormalised weight over
+        2R + rN, so a size costs no sequence probability of its own."""
+        g = random_graph(12, 0.5, seed=3)
+        cfg = WalkConfig(r=0.5, w=0.5, walk_length=60, init="uniform")
+        trace = run_walk(g, cfg, random.Random(2))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sequence_prob(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "sequence_prob", counted)
+        counts = []
+        for size in (None, float(g.edge_count)):
+            calls.clear()
+            est = estimate_total(trace, g, cfg, MotifKind.TRIANGLE, "ppw", size=size)
+            counts.append(len(calls))
+        assert est.n_informative > 0
+        assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("kind", list(MotifKind))
     def test_multiplicity_counts(self, kind):

@@ -375,6 +375,30 @@ class TestCli:
                         "--r", "0", "--w", "1")
         assert code == EXIT_NON_ERGODIC
 
+    @pytest.mark.parametrize("experiment, argv", [
+        ("size", ["--init", "uniform", "--walk-length", "1", "--replicates", "20"]),
+        ("prevalence", ["--init", "fixed:3", "--walk-length", "0", "--replicates", "2"]),
+    ])
+    def test_r_zero_walk_from_a_sink_exits_3(self, tmp_path, capsys, experiment, argv):
+        """A walk that takes no step still cannot start at a sink when r = 0."""
+        gpath = tmp_path / "isolated.edges"
+        write_edge_list(Graph(4, [(0, 1), (1, 2)], [1.0, 0.0, 0.0, 0.0]), str(gpath))
+        code = self.run(experiment, "--graph", str(gpath), "--r", "0", "--burn-in", "0", *argv)
+        assert code == EXIT_NON_ERGODIC
+        assert "node 3 is a sink: degree 0 and r = 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--r", "6,-1", "jump rate r=-1.0 must be finite and >= 0"),
+        ("--w", "1 1.5", "backtracking weight w=1.5 must be in [0, 1]"),
+    ])
+    def test_bad_grid_value_exits_2_before_any_walk(self, capsys, monkeypatch, flag, value,
+                                                    message):
+        monkeypatch.setattr(experiments, "run_walk", _no_walk)
+        code = self.run("prevalence", flag, value, "--nodes", "10", "--cases", "2",
+                        "--walk-length", "5", "--replicates", "2")
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_observation_failure_exits_4(self, tmp_path):
         gpath = tmp_path / "path.edges"
         write_edge_list(path_graph(10, values=[1.0] * 0 + [0.0] * 10), str(gpath))

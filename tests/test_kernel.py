@@ -435,39 +435,37 @@ def integrated_sequence_prob(g, cfg, seq):
     return float(total)
 
 
+def normalised_sequence_prob(g, cfg, seq, size):
+    """The window probability a total estimator uses: the unnormalised weight over 2R + rN."""
+    return sequence_prob(g, cfg, seq) / (2.0 * size + cfg.r * g.n)
+
+
 class TestSequenceProb:
     def test_k3_adjacent_pair(self, k3):
         cfg = WalkConfig(r=1.0, w=1.0)
-        got = sequence_prob(k3, cfg, (0, 1), size=3)
+        got = normalised_sequence_prob(k3, cfg, (0, 1), 3)
         assert got == pytest.approx(4 / 27, abs=1e-15)
         # equals (1 + r/N) / (2R + rN)
         assert got == pytest.approx((1 + 1 / 3) / 9, abs=1e-15)
 
     def test_single_state_is_stationary_prob(self, path5):
         cfg = WalkConfig(r=0.7)
-        got = sequence_prob(path5, cfg, (2,), size=path5.edge_count)
+        got = normalised_sequence_prob(path5, cfg, (2,), path5.edge_count)
         assert got == pytest.approx(stationary_node(path5, cfg)[2], abs=1e-15)
 
     def test_two_step_closed_form_on_cycle(self, c4):
         # walk along a 4-cycle: pi_i * p(lag-free) * p(middle) with w = 1
         r = 0.5
         cfg = WalkConfig(r=r, w=1.0)
-        got = sequence_prob(c4, cfg, (0, 1, 2), size=4)
+        got = normalised_sequence_prob(c4, cfg, (0, 1, 2), 4)
         n, two_r = 4, 8
         expected = (1 / (c4.degree(1) + r)) * (1 + r / n) ** 2 / (two_r + r * n)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_unnormalized_value(self, path5):
-        cfg = WalkConfig(r=0.7)
-        exact = sequence_prob(path5, cfg, (1, 2), size=path5.edge_count)
-        raw = sequence_prob(path5, cfg, (1, 2))
-        constant = 2 * path5.edge_count + cfg.r * path5.n
-        assert raw == pytest.approx(exact * constant, rel=1e-12)
-
     def test_unreachable_without_jumps(self, path5):
         cfg = WalkConfig(r=0.0)
         with pytest.raises(SequenceUnreachableError):
-            sequence_prob(path5, cfg, (0, 3), size=4)
+            sequence_prob(path5, cfg, (0, 3))
 
     def test_empty_sequence_rejected(self, path5):
         with pytest.raises(ConfigError):
@@ -478,7 +476,7 @@ class TestSequenceProb:
         cfg = WalkConfig(r=0.6, w=0.2)
         for seq in [(0, 1), (2, 5), (3, 3)]:
             exact = integrated_sequence_prob(g, cfg, seq)
-            product = sequence_prob(g, cfg, seq, size=g.edge_count)
+            product = normalised_sequence_prob(g, cfg, seq, g.edge_count)
             assert exact == pytest.approx(product, rel=1e-10)
         # single state: marginal
         assert integrated_sequence_prob(g, cfg, (2,)) == pytest.approx(
@@ -490,7 +488,7 @@ class TestSequenceProb:
         cfg = WalkConfig(r=0.6, w=1.0)
         seq = (0, 1, 2)
         exact = integrated_sequence_prob(g, cfg, seq)
-        product = sequence_prob(g, cfg, seq, size=g.edge_count)
+        product = normalised_sequence_prob(g, cfg, seq, g.edge_count)
         assert exact == pytest.approx(product, rel=1e-10)
 
     def test_history_discrepancy_is_measurable_for_low_w(self):
@@ -498,7 +496,7 @@ class TestSequenceProb:
         cfg = WalkConfig(r=0.6, w=0.1)
         seq = (0, 1, 2)
         exact = integrated_sequence_prob(g, cfg, seq)
-        product = sequence_prob(g, cfg, seq, size=g.edge_count)
+        product = normalised_sequence_prob(g, cfg, seq, g.edge_count)
         assert exact > 0 and product > 0
         assert abs(exact - product) / product < 0.25
         # the pair law factorises, so the measured discrepancy is solver noise
@@ -528,7 +526,7 @@ class TestSequenceProb:
                 nbrs = sorted(g.neighbors_of(seq[-1]))
                 along_edge = bool(nbrs) and data.draw(st.integers(0, 3)) > 0
                 seq.append(data.draw(st.sampled_from(nbrs) if along_edge else st.integers(0, n - 1)))
-            got = sequence_prob(g, cfg, seq, size=g.edge_count)
+            got = normalised_sequence_prob(g, cfg, seq, g.edge_count)
             if length == 1:
                 assert got == pytest.approx((g.degree(seq[0]) + r) / const, rel=1e-12)
             if length == 2:
