@@ -57,7 +57,6 @@ from .kernel import (
     stationary_node,
     stationary_pair,
     transition_prob,
-    transition_row,
 )
 from .sampling import (
     MotifObservation,
@@ -121,7 +120,6 @@ __all__ = [
     "stationary_node",
     "stationary_pair",
     "transition_prob",
-    "transition_row",
     "weighted_mean_degree",
     "write_edge_list",
 ]

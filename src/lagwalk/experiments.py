@@ -256,7 +256,10 @@ def render_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
 
 def _run_indexed(worker, jobs: int, *seeds: list[int]):
     """Run worker(seed_x[, seed_y]) over the replicates' seeds, one list per
-    stream, with results in replicate order."""
+    stream, with results in replicate order.  A pool starts all its workers at
+    once, so it gets no more than there are usable CPUs or replicates."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(jobs, cpus or 1, len(seeds[0]))
     if jobs <= 1:
         return list(map(worker, *seeds))
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -321,18 +324,12 @@ def _mixed_equation_residual(graph: Graph, wcfg: WalkConfig, pair_pi: np.ndarray
     """Residual of the stationarity identity that splits arrivals at h into
     adjacent-pair mass plus jump inflow from non-neighbours."""
     n = graph.n
-    r = wcfg.r
     pair = pair_pi.reshape(n, n)
     marginal = pair.sum(axis=0)
-    degs = np.asarray(graph.degrees, dtype=float)
     adj = graph.adjacency_matrix().astype(float)
-    worst = 0.0
-    jump_in = marginal / (degs + r) * (r / n)
-    for h in range(n):
-        adj_mass = float(pair[adj[:, h] == 1.0, h].sum())
-        outside = float(jump_in[adj[:, h] == 0.0].sum())
-        worst = max(worst, abs(marginal[h] - adj_mass - outside))
-    return worst
+    jump_in = marginal * [wcfg.step_weights(d)[0] / n for d in graph.degrees]
+    residual = marginal - np.einsum("ih,ih->h", adj, pair) - jump_in @ (1.0 - adj)
+    return float(np.max(np.abs(residual)))
 
 
 # --------------------------------------------------------------------------

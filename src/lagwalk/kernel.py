@@ -35,7 +35,7 @@ import bisect
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +74,7 @@ class WalkConfig:
     walk_length: int = 1
     init: str = "stationary"
     init_node: int | None = None
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.r) or self.r < 0:
@@ -87,6 +88,25 @@ class WalkConfig:
         if self.init == "fixed" and self.init_node is None:
             raise ConfigError("init='fixed' needs init_node")
 
+    def step_weights(self, d: int) -> tuple[float, float, float, float]:
+        """The one-step law at a node of degree d, memoised: (jump, plain, after, back).
+
+        A uniform jump has probability ``jump`` (jump / N per target).  A
+        neighbour gets ``plain`` after a non-adjacent predecessor, ``after``
+        after an adjacent one, and that predecessor gets ``back``.  At d <= 1
+        every move weight is d/(d+r).  Needs d + r > 0.
+        """
+        weights = self._weights.get(d)
+        if weights is None:
+            r, w = self.r, self.w
+            denom = d + r
+            if d <= 1:
+                weights = (r / denom,) + (d / denom,) * 3
+            else:
+                weights = (r / denom, d / (denom * d), (d - w) / (denom * (d - 1)), w / denom)
+            self._weights[d] = weights
+        return weights
+
 
 def transition_prob(g, cfg: WalkConfig, prev: int, cur: int, nxt: int) -> float:
     """One-step probability p(nxt | cur, prev).
@@ -96,31 +116,22 @@ def transition_prob(g, cfg: WalkConfig, prev: int, cur: int, nxt: int) -> float:
     not be adjacent to ``cur``; a non-adjacent prev simply contributes no
     backtracking term.  Passing prev == cur gives the lag-free kernel.
 
-    This is the reference form of the law: :func:`transition_row`, and so
-    :attr:`PairStateChain.matrix`, are read off it, and the pair operator
-    and the sampler of :func:`make_stepper` are checked against it.
+    This is the reference form of the law, read off
+    :meth:`WalkConfig.step_weights`: :attr:`PairStateChain.matrix` is filled
+    from it, and the pair operator and the sampler of :func:`make_stepper`
+    are checked against it.
     """
-    n = g.n
     d = g.degree(cur)
-    r, w = cfg.r, cfg.w
-    if d == 0:
-        if r == 0:
-            raise NonErgodicError(f"node {cur} is a sink: degree 0 and r = 0")
-        return 1.0 / n
-    denom = d + r
-    jump = (r / denom) / n
-    if d == 1:
-        return jump + (1.0 if g.has_edge(cur, nxt) else 0.0) / denom
-    a_prev = 1 if g.has_edge(prev, cur) else 0
+    if d == 0 and cfg.r == 0:
+        raise NonErgodicError(f"node {cur} is a sink: degree 0 and r = 0")
+    jump, plain, after, back = cfg.step_weights(d)
+    jump /= g.n
+    if d <= 1:
+        return jump + plain if g.has_edge(cur, nxt) else jump
+    adjacent_prev = g.has_edge(prev, cur)
     if nxt == prev:
-        return jump + w * a_prev / denom
-    a_next = 1 if g.has_edge(cur, nxt) else 0
-    return jump + a_next * (d - w * a_prev) / (denom * (d - a_prev))
-
-
-def transition_row(g: Graph, cfg: WalkConfig, prev: int, cur: int) -> np.ndarray:
-    """Full row of the one-step law from (prev, cur), read off :func:`transition_prob`."""
-    return np.array([transition_prob(g, cfg, prev, cur, j) for j in range(g.n)])
+        return jump + back if adjacent_prev else jump
+    return jump + (after if adjacent_prev else plain) if g.has_edge(cur, nxt) else jump
 
 
 def make_stepper(g: Graph, cfg: WalkConfig):
@@ -179,22 +190,11 @@ class PairStateChain:
         self.graph = graph
         self.cfg = cfg
         self.n_nodes = graph.n
-        n, r, w = graph.n, cfg.r, cfg.w
-        degs = np.asarray(graph.degrees, dtype=float)
         self._adj = graph.adjacency_matrix().astype(float)
-        self._jump = r / ((degs + r) * n)
-        # Move coefficients per current node: the weight of a neighbour after
-        # a non-adjacent predecessor, after an adjacent one (for the other
-        # neighbours), and the extra weight of backtracking to that one.  At
-        # degree 1 the predecessor does not matter.  An isolated node has no
-        # moves, so its coefficients only need to be finite: degree 1 stands
-        # in for 0, as 1/r overflows for subnormal r.
-        d = np.maximum(degs, 1.0)
-        denom = d + r
-        self._plain = 1.0 / denom
-        branching = d > 1
-        self._after = np.where(branching, (d - w) / (denom * np.maximum(d - 1, 1)), self._plain)
-        self._back_gain = np.where(branching, w / denom, self._plain) - self._after
+        weights = np.array([cfg.step_weights(d) for d in graph.degrees])
+        jump, self._plain, self._after, back = weights.T.copy()
+        self._jump = jump / graph.n
+        self._back_gain = back - self._after
 
     def step(self, pair_dist: np.ndarray) -> np.ndarray:
         """One step of a pair distribution: the vector pi P, without P.
@@ -219,7 +219,7 @@ class PairStateChain:
 
         A reference form for tests and diagnostics; no solver uses it.  Row
         (i, h) holds p(j | h, i) in column (h, j), taken from
-        :func:`transition_row`, so from the law the estimators use.  It
+        :func:`transition_prob`, so from the law the estimators use.  It
         stores N^3 entries, so it is built on first access and refused above
         ``MATRIX_MAX_STATES`` states.  It needs scipy, which only the ``test``
         extra installs.
@@ -231,15 +231,12 @@ class PairStateChain:
         import scipy.sparse as sp
 
         n = self.n_nodes
-        data = np.empty((self.n_states, n))
-        for i in range(n):
-            for h in range(n):
-                data[i * n + h] = transition_row(self.graph, self.cfg, i, h)
-        h_of_row = np.arange(self.n_states, dtype=np.int64) % n
-        indices = (h_of_row[:, None] * n + np.arange(n, dtype=np.int64)).ravel()
+        data = np.array([transition_prob(self.graph, self.cfg, i, h, j)
+                         for i in range(n) for h in range(n) for j in range(n)])
+        # Row (i, h) holds columns (h, 0), ..., (h, N - 1): every i repeats 0, ..., N^2 - 1.
+        indices = np.tile(np.arange(self.n_states, dtype=np.int64), n)
         indptr = np.arange(self.n_states + 1, dtype=np.int64) * n
-        return sp.csr_matrix((data.ravel(), indices, indptr),
-                             shape=(self.n_states, self.n_states))
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n_states, self.n_states))
 
     def node_marginal(self, pair_dist: np.ndarray) -> np.ndarray:
         """Marginal of the current (second) coordinate."""

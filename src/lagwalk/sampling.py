@@ -232,8 +232,15 @@ def detect_observations(
 
 
 def equivalent_sequences(provider, obs: MotifObservation) -> tuple[tuple[int, ...], ...]:
-    """All windows that would reveal the occurrence under its observation rule."""
+    """All windows that would reveal the occurrence under its observation rule.
+
+    Raises :class:`ConfigError` when the node set does not form the kind.
+    """
     occ = obs.occurrence
+    # Counting windows tests only an edge's or triangle's size; detected ones need no check.
+    if occ.kind in (MotifKind.EDGE, MotifKind.TRIANGLE) and not all(
+            provider.has_edge(u, v) for u, v in itertools.combinations(occ.nodes, 2)):
+        raise ConfigError(f"nodes {sorted(occ.nodes)} do not form a {occ.kind.value}")
     return _equivalent_sequences(provider, occ.kind, occ.nodes, occ.center)
 
 
@@ -241,7 +248,7 @@ def _equivalent_sequences(provider, kind: MotifKind, nodes, center: int | None):
     """The windows on which the observation rule of ``kind`` reveals the occurrence, sorted.
 
     Raises :class:`ConfigError` unless there are ``MULTIPLICITY[kind]`` of
-    them, which is how a node set that does not form the kind shows.
+    them, which is how a set of the wrong size or a 4-node set not of the kind shows.
     """
     nodes = sorted(nodes)
     if kind is MotifKind.NODE or kind is MotifKind.EDGE:

@@ -13,10 +13,12 @@ from lagwalk import (
     Es3CoverageError,
     Graph,
     NoObservationsError,
+    NonErgodicError,
     TotalEstimate,
     UnobservedEntryError,
     sequence_prob,
     stationary_node,
+    transition_prob,
 )
 from lagwalk.sampling import OBSERVATION_ORDER, detect_observations, equivalent_sequences
 
@@ -49,6 +51,32 @@ def figure_walk_graph() -> Graph:
         (5, 6), (5, 11),
     ]
     return Graph(12, edges)
+
+
+def reference_transition_prob(g, cfg, prev: int, cur: int, nxt: int) -> float:
+    """The one-step law as written out before its weights moved into one
+    table, kept verbatim as the bit-for-bit reference."""
+    n = g.n
+    d = g.degree(cur)
+    r, w = cfg.r, cfg.w
+    if d == 0:
+        if r == 0:
+            raise NonErgodicError(f"node {cur} is a sink: degree 0 and r = 0")
+        return 1.0 / n
+    denom = d + r
+    jump = (r / denom) / n
+    if d == 1:
+        return jump + (1.0 if g.has_edge(cur, nxt) else 0.0) / denom
+    a_prev = 1 if g.has_edge(prev, cur) else 0
+    if nxt == prev:
+        return jump + w * a_prev / denom
+    a_next = 1 if g.has_edge(cur, nxt) else 0
+    return jump + a_next * (d - w * a_prev) / (denom * (d - a_prev))
+
+
+def transition_row(g: Graph, cfg, prev: int, cur: int) -> np.ndarray:
+    """Full row of the one-step law from (prev, cur), read off transition_prob."""
+    return np.array([transition_prob(g, cfg, prev, cur, j) for j in range(g.n)])
 
 
 def random_graph(n: int, p: float, seed: int, n_isolated: int = 0, values=None) -> Graph:

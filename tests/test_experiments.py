@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import os
 import random
 from dataclasses import replace
 
@@ -293,6 +294,32 @@ class TestReproducibility:
             serial = render_csv(*run_campaign(cfg))
             parallel = render_csv(*run_campaign(replace(cfg, jobs=2)))
             assert serial == parallel, (cfg.experiment, cfg.normalization)
+
+    def test_jobs_is_capped_by_cpus_and_replicates(self, monkeypatch):
+        """A pool starts all its workers at once, so --jobs 10**6 starts no
+        more workers than there are usable CPUs or replicates in a cell, and
+        writes the bytes of --jobs 1.  The pool is a fake that maps in process."""
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = small_cfg(replicates=5)
+        serial = render_csv(*run_campaign(cfg))
+        assert render_csv(*run_campaign(replace(cfg, jobs=10**6))) == serial
+        workers = min(len(os.sched_getaffinity(0)), cfg.replicates)
+        assert started == ([workers] if workers > 1 else [])
 
 
 class TestConfigValidation:

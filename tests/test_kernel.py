@@ -27,11 +27,17 @@ from lagwalk import (
     stationary_node,
     stationary_pair,
     transition_prob,
-    transition_row,
 )
 from lagwalk import kernel
 from lagwalk.kernel import make_stepper, sample_initial_state
-from helpers import cycle_graph, path_graph, random_graph, reference_stationary_start
+from helpers import (
+    cycle_graph,
+    path_graph,
+    random_graph,
+    reference_stationary_start,
+    reference_transition_prob,
+    transition_row,
+)
 
 GRID = [(0.1, 0.0), (0.1, 0.5), (0.1, 1.0), (1.0, 0.0), (1.0, 0.5), (1.0, 1.0),
         (6.0, 0.0), (6.0, 0.5), (6.0, 1.0)]
@@ -87,10 +93,28 @@ class TestTransitionLaw:
             return  # sinks need a jump rate
         cfg = WalkConfig(r=r, w=w)
         for prev, cur in itertools.product(range(g.n), repeat=2):
-            row = transition_row(g, cfg, prev, cur)
-            assert abs(row.sum() - 1.0) < 1e-12
-            for nxt in range(g.n):
-                assert row[nxt] == pytest.approx(transition_prob(g, cfg, prev, cur, nxt), abs=1e-15)
+            assert abs(transition_row(g, cfg, prev, cur).sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("r", [5e-324, 0.1, 1.0, 6.0, 0.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weight_table_keeps_the_bits(self, r, seed):
+        """transition_prob equals the law as written out before its weights
+        moved into one table, bit for bit, on graphs with isolated and
+        degree-1 nodes; at r = 0 both refuse a sink."""
+        core = random_graph(8, 0.4, seed)
+        g = Graph(11, list(core.edges) + [(0, 8), (8, 9)])  # a 2-path tail and node 10 isolated
+        for w in (0.0, 0.5, 1.0):
+            cfg = WalkConfig(r=r, w=w)
+            for prev, cur in itertools.product(range(g.n), repeat=2):
+                if r == 0 and g.degree(cur) == 0:
+                    with pytest.raises(NonErgodicError):
+                        transition_prob(g, cfg, prev, cur, 0)
+                    with pytest.raises(NonErgodicError):
+                        reference_transition_prob(g, cfg, prev, cur, 0)
+                    continue
+                for nxt in range(g.n):
+                    assert (transition_prob(g, cfg, prev, cur, nxt)
+                            == reference_transition_prob(g, cfg, prev, cur, nxt)), (w, prev, cur, nxt)
 
     def test_isolated_node_jumps_uniformly(self):
         g = Graph(4, [(0, 1)])
@@ -103,8 +127,6 @@ class TestTransitionLaw:
         cfg = WalkConfig(r=0.0)
         with pytest.raises(NonErgodicError):
             transition_prob(g, cfg, 0, 3, 1)
-        with pytest.raises(NonErgodicError):
-            transition_row(g, cfg, 0, 3)
 
     def test_full_backtracking_ignores_which_neighbor_was_prev(self):
         g = random_graph(8, 0.5, 3)
@@ -306,6 +328,18 @@ class TestPairChain:
         x = np.random.default_rng(seed).random(chain.n_states)
         x /= x.sum()
         assert np.abs(chain.step(x) - chain.matrix.T @ x).max() < 1e-15
+
+    def test_step_at_subnormal_jump_rate(self):
+        """At r = 5e-324 an isolated node's jump weight is r/r = 1 and its move
+        weights are 0/r = 0: a step stays finite and keeps the mass."""
+        g = Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])  # node 5 isolated
+        chain = build_pair_chain(g, WalkConfig(r=5e-324, w=0.5))
+        x = np.random.default_rng(3).random(chain.n_states)
+        x /= x.sum()
+        nxt = chain.step(x)
+        assert np.isfinite(nxt).all()
+        assert abs(nxt.sum() - 1.0) < 1e-12
+        assert np.abs(nxt - chain.matrix.T @ x).max() < 1e-15
 
 
 class TestStationary:

@@ -242,6 +242,9 @@ class TestEquivalentSequences:
         (MotifKind.THREE_PATH, [(0, 1), (1, 2), (2, 3), (3, 0)], (0, 1, 2, 3)),  # a 4-cycle
         (MotifKind.THREE_PATH, [(0, 1), (0, 2), (0, 3)], (0, 1, 2, 3)),  # a star
         (MotifKind.THREE_PATH, [(0, 1), (1, 2), (2, 0), (2, 3)], (0, 1, 2, 3)),  # a paw
+        (MotifKind.EDGE, [(0, 1), (1, 2)], (0, 2)),  # not adjacent
+        (MotifKind.TRIANGLE, [(0, 1), (1, 2)], (0, 1, 2)),  # a wedge
+        (MotifKind.TRIANGLE, [(0, 1), (1, 2)], (0, 3, 4)),  # independent
     ])
     def test_node_set_not_of_the_kind(self, kind, edges, nodes):
         g = Graph(5, edges)
