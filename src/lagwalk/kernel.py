@@ -23,10 +23,10 @@ a stationary node followed by one lag-free step.  So the equilibrium
 probability of a run of successive states is pi(x_0) p(x_1 | x_0, x_0)
 times its in-run transitions, exactly and for every w (see
 :func:`sequence_prob`): the estimators' window probabilities are exact at
-equilibrium, not an approximation.  This module applies the pair chain
-matrix-free, in O(N^2) per step, and solves it by power iteration so the
-closed forms can be verified numerically; the explicit matrix is kept as a
-reference form.
+equilibrium, not an approximation.  This module steps the pair chain on
+2R + N lumped states, in O(R + N) (see :class:`PairStateChain`), and
+solves it by power iteration so the closed forms can be verified
+numerically; the explicit matrix is kept as a reference form.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .graph import Graph
 STATIONARY_SOLVER = "power"
 ITERATION_TOL = 1e-12
 DEFAULT_MAX_ITER = 200_000
-# The operator refuses larger pair chains: one float64 pair vector is then
-# 32 MiB, and a power-iteration step keeps about four alive (N = 2048).
+# stationary_pair returns at most this many pair states: one float64 pair
+# vector is then 32 MiB (N = 2048).  The lumped chain itself has no cap.
 MAX_PAIR_STATES = 2**22
 # The explicit reference matrix stores N^3 entries (N = 200).
 MATRIX_MAX_STATES = 40_000
@@ -171,47 +171,52 @@ def make_stepper(g: Graph, cfg: WalkConfig):
 
 
 class PairStateChain:
-    """Markov chain on ordered pairs (X_{t-1}, X_t), states indexed i*N + h.
+    """Markov chain on ordered pairs (X_{t-1}, X_t), stepped on 2R + N lumped states.
 
-    The chain is applied matrix-free.  For a current node h of degree d, the
-    successor law needs only three numbers of a pair distribution pi: the
-    column mass m_h = sum_i pi(i, h), the mass s_h arriving from adjacent
-    predecessors, and pi(j, h) for the backtracking move j = i.  One step
-    is then O(N^2) with no stored transition matrix (see :meth:`step`).
-    It needs r > 0 for irreducibility and at most ``MAX_PAIR_STATES`` states.
+    Pairs (i, h) with i not adjacent to h add no backtracking term, so they
+    share one future: the chain lumps exactly onto directed edges and "free"
+    nodes.  State e < 2R is the edge ``src[e] -> dst[e]``: ``graph.edges[e]``
+    for e < R, and e + R is its reverse.  State 2R + h holds the mass at h
+    whose predecessor is not adjacent, such as the start pair (h, h).  A step
+    is O(R + N) (see :meth:`step`); ``n_states`` counts the N^2 pairs.  It
+    needs r > 0 for irreducibility.
     """
 
     def __init__(self, graph: Graph, cfg: WalkConfig):
         self.n_states = graph.n * graph.n
         if cfg.r <= 0:
             raise NonErgodicError("pair chain needs r > 0 for irreducibility")
-        if self.n_states > MAX_PAIR_STATES:
-            raise StateSpaceError(f"pair state space {self.n_states} exceeds cap {MAX_PAIR_STATES}")
         self.graph = graph
         self.cfg = cfg
         self.n_nodes = graph.n
-        self._adj = graph.adjacency_matrix().astype(float)
+        edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+        self.src, self.dst = np.concatenate((edges, edges[:, ::-1])).T.copy()
         weights = np.array([cfg.step_weights(d) for d in graph.degrees])
         jump, self._plain, self._after, back = weights.T.copy()
         self._jump = jump / graph.n
         self._back_gain = back - self._after
 
-    def step(self, pair_dist: np.ndarray) -> np.ndarray:
-        """One step of a pair distribution: the vector pi P, without P.
+    def node_mass(self, law: np.ndarray) -> np.ndarray:
+        """Mass at each current node of a lumped law: s_h + F_h."""
+        edge_count = len(self.src)
+        return np.bincount(self.dst, law[:edge_count], self.n_nodes) + law[edge_count:]
 
-        Q(h, j) = m_h r/((d+r)N) + a_hj [(m_h - s_h)/(d+r)
-                  + s_h (d-w)/((d+r)(d-1)) + pi(j, h) (w/(d+r) - (d-w)/((d+r)(d-1)))]
-        for d > 1; for d <= 1 the bracket is m_h/(d+r).
+    def step(self, law: np.ndarray) -> np.ndarray:
+        """One step of a lumped law: E on directed edges, then F on free nodes.
+
+        With s_h = sum_i E(i -> h) and J_h = (s_h + F_h) jump_h / N (weights of
+        :meth:`WalkConfig.step_weights`), E'(h -> j) = J_h + F_h plain_h + s_h after_h
+        + E(j -> h) (back_h - after_h) and F'(j) = sum J - sum_{h in N(j)} J_h.
         """
-        pair = pair_dist.reshape(self.n_nodes, self.n_nodes)
-        mass = pair.sum(axis=0)
-        adjacent = np.einsum("ih,ih->h", self._adj, pair)
-        move = (mass - adjacent) * self._plain + adjacent * self._after
-        nxt = np.multiply(pair.T, self._back_gain[:, None], order="C")
-        nxt += move[:, None]
-        nxt *= self._adj
-        nxt += (self._jump * mass)[:, None]
-        return nxt.ravel()
+        edge_count = len(self.src)
+        edge, free = law[:edge_count], law[edge_count:]
+        arrived = np.bincount(self.dst, edge, self.n_nodes)
+        jumps = (arrived + free) * self._jump
+        leave = jumps + free * self._plain + arrived * self._after
+        reverse = np.roll(edge, edge_count // 2)
+        nxt_edge = leave[self.src] + reverse * self._back_gain[self.src]
+        nxt_free = jumps.sum() - np.bincount(self.dst, jumps[self.src], self.n_nodes)
+        return np.concatenate((nxt_edge, nxt_free))
 
     @functools.cached_property
     def matrix(self):
@@ -248,24 +253,30 @@ def build_pair_chain(g: Graph, cfg: WalkConfig) -> PairStateChain:
     return PairStateChain(g, cfg)
 
 
-def stationary_pair(
-    chain: PairStateChain,
-    tol: float = ITERATION_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
+def stationary_pair(chain: PairStateChain, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
     """Unique stationary vector of the pair chain (length N^2, sums to 1).
 
-    Power iteration from the uniform pair law, until the max-norm change
-    between successive iterates falls below ``tol``.
+    Power iteration on the lumped law from the uniform pair law, until no
+    entry of the N^2 iterate moves by ``ITERATION_TOL``.  A step leaves
+    E(i -> h) on adjacent pairs and the jump mass J_i on every other pair
+    (i, h), so only the result is expanded, up to ``MAX_PAIR_STATES`` pairs.
     """
-    pi = np.full(chain.n_states, 1.0 / chain.n_states)
+    if chain.n_states > MAX_PAIR_STATES:
+        raise StateSpaceError(f"pair state space {chain.n_states} exceeds cap {MAX_PAIR_STATES}")
+    n, edge_count = chain.n_nodes, len(chain.src)
+    law = np.full(edge_count + n, 1.0 / chain.n_states)
+    law[edge_count:] *= n - np.asarray(chain.graph.degrees)
+    jumps = np.full(n, 1.0 / chain.n_states)
     delta = np.inf
     for _ in range(max_iter):
-        nxt = chain.step(pi)
-        delta = float(np.max(np.abs(nxt - pi)))
-        pi = nxt
-        if delta < tol:
-            return pi / pi.sum()
+        nxt, nxt_jumps = chain.step(law), chain.node_mass(law) * chain._jump
+        delta = max(float(np.max(np.abs(nxt_jumps - jumps))),
+                    float(np.max(np.abs(nxt - law)[:edge_count], initial=0.0)))
+        law, jumps = nxt, nxt_jumps
+        if delta < ITERATION_TOL:
+            pair = np.repeat(jumps, n)
+            pair[chain.src * n + chain.dst] = law[:edge_count]
+            return pair / pair.sum()
     raise ConvergenceError(
         f"power iteration stalled: residual {delta:.3e} after {max_iter} iterations",
         residual=delta,
@@ -290,14 +301,14 @@ def marginal_at_t(
 ) -> np.ndarray:
     """Exact law of X_t from an initial node distribution, via the pair chain.
 
-    The time-0 pair state is (X_0, X_0), so the first step uses the lag-free
-    kernel; marginalising the second coordinate after t steps gives the law
-    of X_t.
+    The time-0 pair state is (X_0, X_0), a free state, so the first step
+    uses the lag-free kernel; the node mass of the lumped law after t steps
+    is the law of X_t.
     """
     init = np.asarray(init, dtype=float)
     if init.shape != (g.n,):
         raise ConfigError(f"init distribution must have length {g.n}")
-    if abs(init.sum() - 1.0) > 1e-9 or np.any(init < 0):
+    if not np.all(np.isfinite(init)) or abs(init.sum() - 1.0) > 1e-9 or np.any(init < 0):
         raise ConfigError("init must be a probability distribution")
     if t < 0:
         raise ConfigError("t must be >= 0")
@@ -305,11 +316,10 @@ def marginal_at_t(
         return init.copy()
     if chain is None:
         chain = build_pair_chain(g, cfg)
-    pair = np.zeros(chain.n_states)
-    pair[np.arange(g.n) * g.n + np.arange(g.n)] = init
+    law = np.concatenate((np.zeros(len(chain.src)), init))
     for _ in range(t):
-        pair = chain.step(pair)
-    return chain.node_marginal(pair)
+        law = chain.step(law)
+    return chain.node_mass(law)
 
 
 def sequence_prob(provider, cfg: WalkConfig, sequence) -> float:

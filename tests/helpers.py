@@ -79,6 +79,27 @@ def transition_row(g: Graph, cfg, prev: int, cur: int) -> np.ndarray:
     return np.array([transition_prob(g, cfg, prev, cur, j) for j in range(g.n)])
 
 
+def lumped_law(chain, pair: np.ndarray) -> np.ndarray:
+    """An N^2 pair vector on the chain's lumped states: E(i -> h) on each
+    directed edge, then F(h), the mass at h from non-adjacent predecessors."""
+    n = chain.n_nodes
+    pair = pair.reshape(n, n)
+    free = np.ones((n, n), dtype=bool)
+    free[chain.src, chain.dst] = False
+    return np.concatenate((pair[chain.src, chain.dst], (pair * free).sum(axis=0)))
+
+
+def expanded_step(chain, law: np.ndarray) -> np.ndarray:
+    """The N^2 pair vector one lumped step after ``law``: E'(i -> h) on each
+    adjacent pair, and on every other pair (i, h) the mass at i times
+    p(h | i, i), the jump probability of a non-neighbour."""
+    g, n = chain.graph, chain.n_nodes
+    jump = np.array([transition_prob(g, chain.cfg, i, i, i) for i in range(n)])
+    pair = np.repeat(chain.node_mass(law) * jump, n)
+    pair[chain.src * n + chain.dst] = chain.step(law)[:len(chain.src)]
+    return pair
+
+
 def random_graph(n: int, p: float, seed: int, n_isolated: int = 0, values=None) -> Graph:
     """Erdos-Renyi graph with optionally forced isolated nodes at the end."""
     rng = random.Random(seed)

@@ -18,11 +18,14 @@ from lagwalk import (
     Graph,
     MotifKind,
     UnobservedEntryError,
+    WalkConfig,
     build_sample_graph,
     count_collisions,
     estimate_size_cr,
     estimate_size_gr,
     estimate_size_grcr,
+    marginal_at_t,
+    stationary_node,
     weighted_mean_degree,
     write_edge_list,
 )
@@ -396,6 +399,21 @@ class TestCli:
 
     def test_unknown_subcommand_exits_2(self):
         assert self.run("not-an-experiment") == EXIT_CONFIG
+
+    def test_above_the_returned_pair_vector_cap(self, tmp_path, capsys):
+        """N = 2,100 has 4,410,000 pair states, above MAX_PAIR_STATES.  The
+        lumped chain still runs a convergence campaign and propagates a law;
+        only stationary-check, which reads the N^2 pair vector, exits 2."""
+        graph = ["--nodes", "2100", "--cases", "20", "--p-cc", "0.05", "--p-cn", "0.002",
+                 "--p-nn", "0.002", "--r", "0.5", "--w", "0.3", "--jobs", "1"]
+        out = tmp_path / "out.csv"
+        assert self.run("convergence", "--replicates", "2", *graph, "--out", str(out)) == EXIT_OK
+        assert out.read_text().count("\n") > 1
+        path, cfg = path_graph(2100), WalkConfig(r=0.5, w=0.3)
+        pi = stationary_node(path, cfg)
+        assert np.abs(marginal_at_t(path, cfg, pi, 16) - pi).max() < 1e-12
+        assert self.run("stationary-check", *graph) == EXIT_CONFIG
+        assert "pair state space 4410000 exceeds cap 4194304" in capsys.readouterr().err
 
     def test_non_ergodic_exits_3(self):
         code = self.run("stationary-check", "--nodes", "8", "--cases", "2",

@@ -32,6 +32,8 @@ from lagwalk import kernel
 from lagwalk.kernel import make_stepper, sample_initial_state
 from helpers import (
     cycle_graph,
+    expanded_step,
+    lumped_law,
     path_graph,
     random_graph,
     reference_stationary_start,
@@ -295,9 +297,11 @@ class TestPairChain:
     def test_constructor_checks_jump_rate_and_cap(self, path5, monkeypatch):
         with pytest.raises(NonErgodicError):
             PairStateChain(path5, WalkConfig(r=0.0, w=0.5))
+        # The cap bounds only the N^2 vector stationary_pair returns.
         monkeypatch.setattr(kernel, "MAX_PAIR_STATES", 24)
+        chain = PairStateChain(path5, WalkConfig(r=1.0))
         with pytest.raises(StateSpaceError):
-            PairStateChain(path5, WalkConfig(r=1.0))
+            stationary_pair(chain)
 
     def test_state_space_cap(self, path5, monkeypatch):
         chain = build_pair_chain(path_graph(201), WalkConfig(r=1.0))
@@ -305,8 +309,11 @@ class TestPairChain:
         with pytest.raises(StateSpaceError):
             chain.matrix
         monkeypatch.setattr(kernel, "MAX_PAIR_STATES", 24)
+        cfg = WalkConfig(r=1.0)
+        chain = build_pair_chain(path5, cfg)
+        assert marginal_at_t(path5, cfg, np.full(5, 0.2), 3, chain=chain).sum() == pytest.approx(1.0)
         with pytest.raises(StateSpaceError):
-            build_pair_chain(path5, WalkConfig(r=1.0))
+            stationary_pair(chain)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -327,7 +334,9 @@ class TestPairChain:
         chain = build_pair_chain(g, WalkConfig(r=r, w=w))
         x = np.random.default_rng(seed).random(chain.n_states)
         x /= x.sum()
-        assert np.abs(chain.step(x) - chain.matrix.T @ x).max() < 1e-15
+        law, dense = lumped_law(chain, x), chain.matrix.T @ x
+        assert np.abs(expanded_step(chain, law) - dense).max() < 1e-15
+        assert np.abs(chain.step(law) - lumped_law(chain, dense)).max() < 1e-15
 
     def test_step_at_subnormal_jump_rate(self):
         """At r = 5e-324 an isolated node's jump weight is r/r = 1 and its move
@@ -336,10 +345,12 @@ class TestPairChain:
         chain = build_pair_chain(g, WalkConfig(r=5e-324, w=0.5))
         x = np.random.default_rng(3).random(chain.n_states)
         x /= x.sum()
-        nxt = chain.step(x)
+        law, dense = lumped_law(chain, x), chain.matrix.T @ x
+        nxt = chain.step(law)
         assert np.isfinite(nxt).all()
         assert abs(nxt.sum() - 1.0) < 1e-12
-        assert np.abs(nxt - chain.matrix.T @ x).max() < 1e-15
+        assert np.abs(nxt - lumped_law(chain, dense)).max() < 1e-15
+        assert np.abs(expanded_step(chain, law) - dense).max() < 1e-15
 
 
 class TestStationary:
@@ -454,6 +465,8 @@ class TestMarginalAtT:
             marginal_at_t(path5, cfg, np.array([0.5, 0.5]), 1)
         with pytest.raises(ConfigError):
             marginal_at_t(path5, cfg, np.array([0.9, 0.2, 0, 0, -0.1]), 1)
+        with pytest.raises(ConfigError):
+            marginal_at_t(path5, cfg, np.array([np.nan, 0.5, 0.25, 0.25, 0]), 1)
 
 
 def integrated_sequence_prob(g, cfg, seq):
