@@ -294,10 +294,21 @@ def estimate_ratio(
 
     The unknown constant 2R + rN cancels, so no size estimate is involved.
     Both totals share the same informative windows, which makes the
-    node-motif case the classic ratio estimator of a population mean.
+    node-motif case the classic ratio estimator of a population mean:
+    sum y/(d + r) over sum 1/(d + r) along the walk.  Under multiplicity
+    weights that case is summed straight off the trace, with the same float
+    operations in the same order as the window pass (weight 1, norm 1).
     """
     num = 0.0
     den = 0.0
+    if kind is MotifKind.NODE and scheme == "multiplicity":
+        if not trace.states:
+            raise NoObservationsError("trace of length 0 has no window of order 0")
+        for h in trace.states:
+            pi = provider.degree(h) + cfg.r
+            num += provider.value(h) / pi
+            den += 1.0 / pi
+        return num / den
     informative = 0
     for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, "product", ppw_fallback):
         if pi is None:

@@ -160,13 +160,18 @@ def load_graph(cfg: CampaignConfig) -> Graph:
     )
 
 
-def _uint32_words(value: int) -> list[np.ndarray]:
+def _uint32_words(value: int) -> list[int]:
     """The 32-bit words SeedSequence reads from a non-negative int, least significant first."""
     words = [value & _MASK32]
     while value >> 32:
         value >>= 32
         words.append(value & _MASK32)
-    return [np.array([w], dtype=np.uint32) for w in words]
+    return words
+
+
+def _wrap32(value):
+    """``value`` mod 2**32; a uint32 array wraps by itself."""
+    return value & _MASK32 if isinstance(value, int) else value
 
 
 def substream_seeds(master: int, experiment: str, cell: int, n: int, stream: int) -> list[int]:
@@ -174,9 +179,10 @@ def substream_seeds(master: int, experiment: str, cell: int, n: int, stream: int
     SeedSequence([master, experiment_id, cell, k, stream]).generate_state(1, np.uint64)[0].
 
     SeedSequence's hash constants evolve independently of the data, so every
-    step of its entropy mixing and state generation is one uint32 array
-    operation over the replicate axis (arrays wrap mod 2**32 as its C code
-    does).  Only k varies along that axis, and it is one word.
+    step of its entropy mixing and state generation is one operation over
+    the replicate axis.  Only k varies along that axis, and it is one word:
+    the other words are mixed as Python ints, and a value becomes a uint32
+    array (which wraps mod 2**32 as the C code does) only where it meets k.
     """
     assert 0 <= n <= 1 << 32, "replicate indices must fit one 32-bit word"
     entropy = [*_uint32_words(master), *_uint32_words(_EXPERIMENT_IDS[experiment]),
@@ -187,11 +193,11 @@ def substream_seeds(master: int, experiment: str, cell: int, n: int, stream: int
         nonlocal hash_a
         value = value ^ hash_a
         hash_a = hash_a * _MULT_A & _MASK32
-        value = value * hash_a
+        value = _wrap32(value * hash_a)
         return value ^ (value >> 16)
 
     def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        result = _wrap32(_wrap32(x * _MIX_MULT_L) - _wrap32(y * _MIX_MULT_R))
         return result ^ (result >> 16)
 
     # Five words at least, so the entropy always fills the pool.
@@ -204,6 +210,7 @@ def substream_seeds(master: int, experiment: str, cell: int, n: int, stream: int
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
     # generate_state(1, np.uint64): two words from the pool, low word first.
+    # Every pool word has met k by now, so both are arrays.
     hash_b = _INIT_B
     halves = []
     for word in pool[:2]:

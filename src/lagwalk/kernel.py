@@ -140,32 +140,42 @@ def make_stepper(g: Graph, cfg: WalkConfig):
     Two-stage scheme: a jump-vs-move coin, then the within-move choice
     (backtrack coin plus uniform pick among the remaining neighbours).  The
     composition reproduces the transition row exactly.
+
+    A uniform pick below m is drawn as CPython's ``rng.randrange(m)`` draws
+    it, so the streams are those of ``randrange``: ``m.bit_length()`` bits
+    from ``rng.getrandbits`` until the value is below m.  The bit lengths of
+    the degrees are one table per graph.
     """
     n = g.n
+    n_bits = n.bit_length()
     r, w = cfg.r, cfg.w
     nbrs = g.neighbor_lists
     adj = g._adj
     degs = g.degrees
+    deg_bits = g.derived("degree-bit-lengths", lambda: tuple(d.bit_length() for d in degs))
 
     def next_state(prev: int, cur: int, rng: random.Random) -> int:
         d = degs[cur]
-        if d == 0:
-            if r == 0:
-                raise NonErgodicError(f"node {cur} is a sink: degree 0 and r = 0")
-            return rng.randrange(n)
-        if rng.random() * (d + r) < r:
-            return rng.randrange(n)
+        if d == 0 and r == 0:
+            raise NonErgodicError(f"node {cur} is a sink: degree 0 and r = 0")
+        if d == 0 or rng.random() * (d + r) < r:
+            j = rng.getrandbits(n_bits)
+            while j >= n:
+                j = rng.getrandbits(n_bits)
+            return j
         cur_nbrs = nbrs[cur]
         if d == 1:
             return cur_nbrs[0]
-        if prev in adj[cur]:
-            if rng.random() * d < w:
-                return prev
-            while True:
-                j = cur_nbrs[rng.randrange(d)]
-                if j != prev:
-                    return j
-        return cur_nbrs[rng.randrange(d)]
+        if prev in adj[cur] and rng.random() * d < w:
+            return prev
+        # A pick equal to prev is redrawn; a non-adjacent prev is never picked.
+        bits = deg_bits[cur]
+        while True:
+            k = rng.getrandbits(bits)
+            while k >= d:
+                k = rng.getrandbits(bits)
+            if cur_nbrs[k] != prev:
+                return cur_nbrs[k]
 
     return next_state
 
@@ -213,7 +223,8 @@ class PairStateChain:
         arrived = np.bincount(self.dst, edge, self.n_nodes)
         jumps = (arrived + free) * self._jump
         leave = jumps + free * self._plain + arrived * self._after
-        reverse = np.roll(edge, edge_count // 2)
+        half = edge_count // 2  # edge e + R is the reverse of edge e
+        reverse = np.concatenate((edge[half:], edge[:half]))
         nxt_edge = leave[self.src] + reverse * self._back_gain[self.src]
         nxt_free = jumps.sum() - np.bincount(self.dst, jumps[self.src], self.n_nodes)
         return np.concatenate((nxt_edge, nxt_free))

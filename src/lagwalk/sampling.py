@@ -105,62 +105,54 @@ class SampleGraph:
     Degrees and full neighbourhoods exist only for seed nodes; adjacency is
     answerable only when at least one endpoint is a seed node; node values
     are available for every identified node (seed nodes and their
-    neighbours).  Anything else raises :class:`UnobservedEntryError`.
+    neighbours).  Anything else raises :class:`UnobservedEntryError`.  The
+    view holds the seed set and reads the graph's own tables; it copies
+    nothing.
     """
 
-    def __init__(self, n: int, seed: frozenset[int], neighborhoods: dict[int, frozenset[int]],
-                 values: dict[int, float]):
-        self.n = n
+    def __init__(self, graph: Graph, seed: frozenset[int]):
+        self.n = graph.n
         self.seed = seed
-        self._nbrs = neighborhoods
-        self._values = values
+        self._adj = graph._adj
+        self._degrees = graph.degrees
+        self._values = graph.values
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        found = set()
-        for h, nbrs in self._nbrs.items():
-            for j in nbrs:
-                found.add((h, j) if h < j else (j, h))
-        return tuple(sorted(found))
+        return tuple(sorted({(h, j) if h < j else (j, h) for h in self.seed for j in self._adj[h]}))
 
     def degree(self, v: int) -> int:
         if v not in self.seed:
             raise UnobservedEntryError(f"degree of node {v} not observed (not in the seed sample)")
-        return len(self._nbrs[v])
+        return self._degrees[v]
 
     def neighbors_of(self, v: int) -> frozenset[int]:
         if v not in self.seed:
             raise UnobservedEntryError(f"neighbourhood of node {v} not observed")
-        return self._nbrs[v]
+        return self._adj[v]
 
     def has_edge(self, i: int, j: int) -> bool:
         if i == j:
             return False
         if i in self.seed:
-            return j in self._nbrs[i]
+            return j in self._adj[i]
         if j in self.seed:
-            return i in self._nbrs[j]
+            return i in self._adj[j]
         raise UnobservedEntryError(f"adjacency ({i}, {j}) outside the observed region")
 
     def value(self, v: int) -> float:
-        try:
+        # The range check keeps a negative id from indexing the value tuple.
+        if v in self.seed or (0 <= v < self.n and not self._adj[v].isdisjoint(self.seed)):
             return self._values[v]
-        except KeyError:
-            raise UnobservedEntryError(f"value of node {v} not observed") from None
+        raise UnobservedEntryError(f"value of node {v} not observed")
 
     def __repr__(self) -> str:
         return f"SampleGraph(n={self.n}, seed={len(self.seed)}, edges={len(self.edges)})"
 
 
 def build_sample_graph(g: Graph, trace: WalkTrace) -> SampleGraph:
-    """Materialise exactly the walk-observed part of the graph."""
-    seed = trace.seed_sample
-    nbrs = {h: g.neighbors_of(h) for h in seed}
-    observed = set(seed)
-    for s in nbrs.values():
-        observed.update(s)
-    values = {v: g.value(v) for v in observed}
-    return SampleGraph(g.n, seed, nbrs, values)
+    """The audited view of exactly the walk-observed part of the graph, in O(T)."""
+    return SampleGraph(g, trace.seed_sample)
 
 
 @dataclass(frozen=True)

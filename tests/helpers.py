@@ -74,6 +74,38 @@ def reference_transition_prob(g, cfg, prev: int, cur: int, nxt: int) -> float:
     return jump + a_next * (d - w * a_prev) / (denom * (d - a_prev))
 
 
+def reference_stepper(g: Graph, cfg):
+    """The sampler as written before its uniform picks were drawn from
+    getrandbits, kept verbatim as the reference for the random streams."""
+    n = g.n
+    r, w = cfg.r, cfg.w
+    nbrs = g.neighbor_lists
+    adj = g._adj
+    degs = g.degrees
+
+    def next_state(prev: int, cur: int, rng: random.Random) -> int:
+        d = degs[cur]
+        if d == 0:
+            if r == 0:
+                raise NonErgodicError(f"node {cur} is a sink: degree 0 and r = 0")
+            return rng.randrange(n)
+        if rng.random() * (d + r) < r:
+            return rng.randrange(n)
+        cur_nbrs = nbrs[cur]
+        if d == 1:
+            return cur_nbrs[0]
+        if prev in adj[cur]:
+            if rng.random() * d < w:
+                return prev
+            while True:
+                j = cur_nbrs[rng.randrange(d)]
+                if j != prev:
+                    return j
+        return cur_nbrs[rng.randrange(d)]
+
+    return next_state
+
+
 def transition_row(g: Graph, cfg, prev: int, cur: int) -> np.ndarray:
     """Full row of the one-step law from (prev, cur), read off transition_prob."""
     return np.array([transition_prob(g, cfg, prev, cur, j) for j in range(g.n)])

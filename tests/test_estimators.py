@@ -381,6 +381,10 @@ class TestRatioEstimator:
         trace = make_trace([0, 2, 4], path5)
         with pytest.raises(NoObservationsError):
             estimate_ratio(trace, path5, cfg, MotifKind.TRIANGLE)
+        empty = WalkTrace((), cfg, path5.n)  # the direct node sum and the pass refuse it alike
+        for scheme in ("multiplicity", "ppw"):
+            with pytest.raises(NoObservationsError, match="trace of length 0 has no window of order 0"):
+                estimate_ratio(empty, path5, cfg, MotifKind.NODE, scheme)
 
 
 def _outcome(fn, *args, **kwargs):

@@ -23,6 +23,7 @@ from lagwalk import (
     count_collisions,
     estimate_size_cr,
     estimate_size_gr,
+    estimate_ratio,
     estimate_size_grcr,
     marginal_at_t,
     stationary_node,
@@ -53,7 +54,7 @@ from lagwalk.experiments import (
     run_stationary_check,
     substream_seeds,
 )
-from lagwalk.sampling import WalkTrace
+from lagwalk.sampling import WEIGHT_SCHEMES, WalkTrace
 from helpers import complete_graph, path_graph
 
 SMALL_GRAPH = dict(n_nodes=24, n_cases=6, p_case_case=0.6, p_case_noncase=0.2,
@@ -191,7 +192,8 @@ class TestSizeRunner:
             assert row["true_edge_count"] == row["true_edge_count"]  # not NaN
 
     def test_degrees_read_through_the_audit(self, monkeypatch):
-        """Sizes use the walks' sample graphs, and give the same values as the full graph."""
+        """Sizes, totals and the prevalence ratio read through the walks' sample
+        graphs, and give the same values as the full graph."""
         cfg = small_cfg(experiment="size", lengths=(20,), replicates=4, max_failure_rate=1.0)
         graph = experiments.load_graph(cfg)
         wcfg = experiments._walk_config(cfg, 0.5, 1.0, 19)
@@ -204,12 +206,17 @@ class TestSizeRunner:
         assert gr == estimate_size_gr(d_bar, graph.n).r_hat
         assert grcr == estimate_size_grcr(stat, d_bar, 0.5).r_hat
         assert cr == estimate_size_cr(stat, 0.5, graph.n).r_hat
+        mu, _ = experiments._prevalence_rep(graph, wcfg, 0, "multiplicity", seed_x)
+        assert mu == estimate_ratio(traces[0], graph, wcfg, MotifKind.NODE)
 
         monkeypatch.setattr(experiments, "build_sample_graph", _sample_graph_missing_last_state)
         with pytest.raises(UnobservedEntryError):
             experiments._size_rep(graph, wcfg, 0, seed_x, seed_y)
         with pytest.raises(UnobservedEntryError):
             experiments._total_rep(graph, wcfg, 0, cfg.motif, "multiplicity", seed_x, seed_y)
+        for scheme in WEIGHT_SCHEMES:
+            with pytest.raises(UnobservedEntryError):
+                experiments._prevalence_rep(graph, wcfg, 0, scheme, seed_x)
 
     def test_estimator_selection(self):
         cfg = small_cfg(experiment="size", lengths=(16,), replicates=10,

@@ -37,6 +37,7 @@ from helpers import (
     path_graph,
     random_graph,
     reference_stationary_start,
+    reference_stepper,
     reference_transition_prob,
     transition_row,
 )
@@ -204,6 +205,41 @@ class TestStep:
         if len(exp) > 1:
             stat = float(((obs - exp) ** 2 / exp).sum())
             assert chi2.sf(stat, len(exp) - 1) > 1e-6
+
+    @pytest.mark.parametrize("r", [0.1, 1.0, 6.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_streams_match_the_randrange_sampler(self, r, seed):
+        """From equal rng states, the sampler and the randrange sampler of
+        helpers.reference_stepper give the same next state and leave the same
+        rng state, for every (prev, cur) on graphs with isolated and degree-1 nodes."""
+        core = random_graph(8, 0.4, seed)
+        g = Graph(11, list(core.edges) + [(0, 8), (8, 9)])  # a 2-path tail and node 10 isolated
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for w in (0.0, 0.5, 1.0):
+            cfg = WalkConfig(r=r, w=w)
+            stepper, reference = make_stepper(g, cfg), reference_stepper(g, cfg)
+            for prev, cur in itertools.product(range(g.n), repeat=2):
+                for _ in range(4):
+                    assert stepper(prev, cur, rng) == reference(prev, cur, ref_rng), (w, prev, cur)
+                    assert rng.getstate() == ref_rng.getstate(), (w, prev, cur)
+
+    def test_picks_are_randrange_draws(self):
+        """A jump from an isolated node and a neighbour pick at the centre of a
+        star equal rng.randrange(m) for m = 1..1100, powers of two included,
+        from equal rng states: the streams rest on how CPython draws randrange."""
+        rng, ref_rng = random.Random(5), random.Random(5)
+        for m in range(1, 1101):
+            jump = make_stepper(Graph(m, []), WalkConfig(r=1.0))
+            assert jump(0, 0, rng) == ref_rng.randrange(m), m
+            assert rng.getstate() == ref_rng.getstate(), m
+            if m == 1:
+                continue  # a degree-1 node moves without a pick
+            # At r = 5e-324 the jump coin is drawn and never lands.
+            star = Graph(m + 1, [(0, j) for j in range(1, m + 1)])
+            pick = make_stepper(star, WalkConfig(r=5e-324))(0, 0, rng)
+            ref_rng.random()
+            assert pick == 1 + ref_rng.randrange(m), m
+            assert rng.getstate() == ref_rng.getstate(), m
 
     def test_support_without_jumps(self, path5):
         cfg = WalkConfig(r=0.0, w=1.0)

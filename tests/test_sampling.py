@@ -112,6 +112,30 @@ class TestSampleGraph:
         assert sg.has_edge(1, 2) and not sg.has_edge(0, 4)
         assert sg.value(2) == figure_graph.value(2)
 
+    def test_value_refusals_out_of_range_and_two_hops(self, figure_graph):
+        trace = make_trace([0, 1], figure_graph)
+        sg = build_sample_graph(figure_graph, trace)
+        for v in (-1, figure_graph.n):
+            with pytest.raises(UnobservedEntryError):
+                sg.value(v)
+        assert not figure_graph.neighbors_of(6) & sg.seed  # 6 is two hops from 1
+        with pytest.raises(UnobservedEntryError):
+            sg.value(6)
+        assert sg.value(3) == figure_graph.value(3)
+
+    @pytest.mark.parametrize("states, edges, text", [
+        ([0, 1, 2], ((0, 1), (0, 8), (0, 9), (1, 2), (1, 3), (1, 7), (2, 3), (2, 6), (2, 7)),
+         "SampleGraph(n=12, seed=3, edges=9)"),
+        ([4, 4, 5], ((3, 4), (4, 5), (4, 6), (4, 10), (5, 6), (5, 11)),
+         "SampleGraph(n=12, seed=2, edges=6)"),
+        ([3], ((1, 3), (2, 3), (3, 4)), "SampleGraph(n=12, seed=1, edges=3)"),
+    ])
+    def test_edges_and_repr(self, figure_graph, states, edges, text):
+        """The view lists the observed edges sorted, as the materialised sample graph did."""
+        sg = build_sample_graph(figure_graph, make_trace(states, figure_graph))
+        assert sg.edges == edges
+        assert repr(sg) == text
+
 
 class TestDetection:
     def test_figure_walk_observations(self, figure_graph):
