@@ -54,6 +54,7 @@ from .kernel import (
     build_pair_chain,
     marginal_at_t,
     sequence_prob,
+    stationary_lumped,
     stationary_node,
     stationary_pair,
     transition_prob,
@@ -117,6 +118,7 @@ __all__ = [
     "run_campaign",
     "run_walk",
     "sequence_prob",
+    "stationary_lumped",
     "stationary_node",
     "stationary_pair",
     "transition_prob",

@@ -27,6 +27,10 @@ DEFAULT_P_CASE_CASE = 0.5
 DEFAULT_P_CASE_NONCASE = 0.05
 DEFAULT_P_NONCASE_NONCASE = 3.1 / 79
 DEFAULT_GRAPH_SEED = 331
+# generate_case_graph draws all N(N-1)/2 node pairs at once, at about 41 bytes
+# per pair at its peak (330 MB at N = 4,000), so it refuses more than this
+# many pairs: about N = 8,192 and 1.4 GB.
+MAX_GENERATED_PAIRS = 2**25
 
 
 class MotifKind(str, Enum):
@@ -159,7 +163,7 @@ def generate_case_graph(
 
     Each unordered pair (i, j) holds an edge independently, with probability
     chosen by how many of the two endpoints are cases.  Deterministic for a
-    fixed seed.
+    fixed seed.  Refuses more than ``MAX_GENERATED_PAIRS`` pairs.
     """
     if not 0 <= n_cases <= n_nodes:
         raise ConfigError(f"n_cases={n_cases} outside [0, {n_nodes}]")
@@ -170,6 +174,11 @@ def generate_case_graph(
     ]:
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"{name}={p} is not a probability")
+    n_pairs = n_nodes * (n_nodes - 1) // 2
+    if n_pairs > MAX_GENERATED_PAIRS:
+        raise ConfigError(f"a generated graph on {n_nodes} nodes draws {n_pairs} node pairs, "
+                          f"above the cap of {MAX_GENERATED_PAIRS} (about 41 bytes each); "
+                          "read a larger graph from an edge list with --graph")
     rng = np.random.default_rng(seed)
     values = [1.0] * n_cases + [0.0] * (n_nodes - n_cases)
     if n_nodes == 1:

@@ -24,9 +24,9 @@ probability of a run of successive states is pi(x_0) p(x_1 | x_0, x_0)
 times its in-run transitions, exactly and for every w (see
 :func:`sequence_prob`): the estimators' window probabilities are exact at
 equilibrium, not an approximation.  This module steps the pair chain on
-2R + N lumped states, in O(R + N) (see :class:`PairStateChain`), and
-solves it by power iteration so the closed forms can be verified
-numerically; the explicit matrix is kept as a reference form.
+2R + N lumped states, in O(R + N) (see :class:`PairStateChain`), and solves
+it there by power iteration (:func:`stationary_lumped`) to verify the closed
+forms at any N; the explicit matrix is kept as a reference form.
 """
 
 from __future__ import annotations
@@ -206,17 +206,13 @@ class PairStateChain:
         self._jump = jump / graph.n
         self._back_gain = back - self._after
 
-    def node_mass(self, law: np.ndarray) -> np.ndarray:
-        """Mass at each current node of a lumped law: s_h + F_h."""
-        edge_count = len(self.src)
-        return np.bincount(self.dst, law[:edge_count], self.n_nodes) + law[edge_count:]
-
-    def step(self, law: np.ndarray) -> np.ndarray:
+    def step(self, law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One step of a lumped law: E on directed edges, then F on free nodes.
 
         With s_h = sum_i E(i -> h) and J_h = (s_h + F_h) jump_h / N (weights of
         :meth:`WalkConfig.step_weights`), E'(h -> j) = J_h + F_h plain_h + s_h after_h
         + E(j -> h) (back_h - after_h) and F'(j) = sum J - sum_{h in N(j)} J_h.
+        Returns the new law and the jump mass J it was sent with.
         """
         edge_count = len(self.src)
         edge, free = law[:edge_count], law[edge_count:]
@@ -227,7 +223,7 @@ class PairStateChain:
         reverse = np.concatenate((edge[half:], edge[:half]))
         nxt_edge = leave[self.src] + reverse * self._back_gain[self.src]
         nxt_free = jumps.sum() - np.bincount(self.dst, jumps[self.src], self.n_nodes)
-        return np.concatenate((nxt_edge, nxt_free))
+        return np.concatenate((nxt_edge, nxt_free)), jumps
 
     @functools.cached_property
     def matrix(self):
@@ -264,35 +260,43 @@ def build_pair_chain(g: Graph, cfg: WalkConfig) -> PairStateChain:
     return PairStateChain(g, cfg)
 
 
-def stationary_pair(chain: PairStateChain, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """Unique stationary vector of the pair chain (length N^2, sums to 1).
+def stationary_lumped(chain: PairStateChain,
+                      max_iter: int = DEFAULT_MAX_ITER) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalised stationary lumped law of the pair chain, and its jump mass J.
 
-    Power iteration on the lumped law from the uniform pair law, until no
-    entry of the N^2 iterate moves by ``ITERATION_TOL``.  A step leaves
-    E(i -> h) on adjacent pairs and the jump mass J_i on every other pair
-    (i, h), so only the result is expanded, up to ``MAX_PAIR_STATES`` pairs.
+    Power iteration from the uniform pair law, until no entry of the N^2
+    iterate moves by ``ITERATION_TOL``.  Row i of that iterate holds
+    E(i -> h) on the neighbours h of i and J_i on every other h.
     """
-    if chain.n_states > MAX_PAIR_STATES:
-        raise StateSpaceError(f"pair state space {chain.n_states} exceeds cap {MAX_PAIR_STATES}")
     n, edge_count = chain.n_nodes, len(chain.src)
     law = np.full(edge_count + n, 1.0 / chain.n_states)
     law[edge_count:] *= n - np.asarray(chain.graph.degrees)
     jumps = np.full(n, 1.0 / chain.n_states)
     delta = np.inf
     for _ in range(max_iter):
-        nxt, nxt_jumps = chain.step(law), chain.node_mass(law) * chain._jump
+        nxt, nxt_jumps = chain.step(law)
         delta = max(float(np.max(np.abs(nxt_jumps - jumps))),
                     float(np.max(np.abs(nxt - law)[:edge_count], initial=0.0)))
         law, jumps = nxt, nxt_jumps
         if delta < ITERATION_TOL:
-            pair = np.repeat(jumps, n)
-            pair[chain.src * n + chain.dst] = law[:edge_count]
-            return pair / pair.sum()
+            return law, jumps
     raise ConvergenceError(
         f"power iteration stalled: residual {delta:.3e} after {max_iter} iterations",
         residual=delta,
         iterations=max_iter,
     )
+
+
+def stationary_pair(chain: PairStateChain, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+    """Stationary pair vector (length N^2, sums to 1): :func:`stationary_lumped`
+    expanded, up to ``MAX_PAIR_STATES`` pairs."""
+    if chain.n_states > MAX_PAIR_STATES:
+        raise StateSpaceError(f"pair state space {chain.n_states} exceeds cap {MAX_PAIR_STATES}")
+    law, jumps = stationary_lumped(chain, max_iter)
+    n = chain.n_nodes
+    pair = np.repeat(jumps, n)
+    pair[chain.src * n + chain.dst] = law[:len(chain.src)]
+    return pair / pair.sum()
 
 
 def stationary_node(g: Graph, cfg: WalkConfig) -> np.ndarray:
@@ -329,8 +333,8 @@ def marginal_at_t(
         chain = build_pair_chain(g, cfg)
     law = np.concatenate((np.zeros(len(chain.src)), init))
     for _ in range(t):
-        law = chain.step(law)
-    return chain.node_mass(law)
+        law = chain.step(law)[0]
+    return np.bincount(chain.dst, law[:-g.n], g.n) + law[-g.n:]
 
 
 def sequence_prob(provider, cfg: WalkConfig, sequence) -> float:

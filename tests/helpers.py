@@ -18,6 +18,7 @@ from lagwalk import (
     UnobservedEntryError,
     sequence_prob,
     stationary_node,
+    stationary_pair,
     transition_prob,
 )
 from lagwalk.sampling import OBSERVATION_ORDER, detect_observations, equivalent_sequences
@@ -125,11 +126,63 @@ def expanded_step(chain, law: np.ndarray) -> np.ndarray:
     """The N^2 pair vector one lumped step after ``law``: E'(i -> h) on each
     adjacent pair, and on every other pair (i, h) the mass at i times
     p(h | i, i), the jump probability of a non-neighbour."""
-    g, n = chain.graph, chain.n_nodes
+    g, n, edge_count = chain.graph, chain.n_nodes, len(chain.src)
     jump = np.array([transition_prob(g, chain.cfg, i, i, i) for i in range(n)])
-    pair = np.repeat(chain.node_mass(law) * jump, n)
-    pair[chain.src * n + chain.dst] = chain.step(law)[:len(chain.src)]
+    mass = np.bincount(chain.dst, law[:edge_count], n) + law[edge_count:]
+    pair = np.repeat(mass * jump, n)
+    pair[chain.src * n + chain.dst] = chain.step(law)[0][:edge_count]
     return pair
+
+
+def reference_stationary_pair(chain, max_iter: int = 200_000) -> np.ndarray:
+    """The pair vector as the solve loop made it when it recomputed the jump
+    mass from the node mass beside each step, kept as the bit-for-bit
+    reference for the N^2 expansion of the lumped solve."""
+    n, edge_count = chain.n_nodes, len(chain.src)
+    law = np.full(edge_count + n, 1.0 / chain.n_states)
+    law[edge_count:] *= n - np.asarray(chain.graph.degrees)
+    jumps = np.full(n, 1.0 / chain.n_states)
+    for _ in range(max_iter):
+        mass = np.bincount(chain.dst, law[:edge_count], n) + law[edge_count:]
+        nxt, nxt_jumps = chain.step(law)[0], mass * chain._jump
+        delta = max(float(np.max(np.abs(nxt_jumps - jumps))),
+                    float(np.max(np.abs(nxt - law)[:edge_count], initial=0.0)))
+        law, jumps = nxt, nxt_jumps
+        if delta < 1e-12:
+            pair = np.repeat(jumps, n)
+            pair[chain.src * n + chain.dst] = law[:edge_count]
+            return pair / pair.sum()
+    raise AssertionError(f"reference power iteration stalled after {max_iter} iterations")
+
+
+def reference_stationary_columns(graph: Graph, wcfg, chain) -> tuple[float, float, float]:
+    """The stationary check's deviation columns (marginal, pair, mixed) off
+    the dense N^2 pair vector and the N x N adjacency matrix, as the
+    campaign computed them before it read the lumped law."""
+    n, r = graph.n, wcfg.r
+    two_r = 2 * graph.edge_count
+    pi = stationary_pair(chain)
+    marginal = chain.node_marginal(pi)
+    closed = stationary_node(graph, wcfg)
+    # Two-value pattern: adjacent pairs carry (1 + r/N), the rest r/N,
+    # normalised by 2R + rN.
+    adj = graph.adjacency_matrix().astype(float)
+    expected_pairs = (adj * 1.0 + r / n) / (two_r + r * n)
+    pair_dev = float(np.max(np.abs(pi.reshape(n, n) - expected_pairs)))
+    mixed = _mixed_equation_residual(graph, wcfg, pi)
+    return float(np.max(np.abs(marginal - closed))), pair_dev, mixed
+
+
+def _mixed_equation_residual(graph: Graph, wcfg, pair_pi: np.ndarray) -> float:
+    """Residual of the stationarity identity that splits arrivals at h into
+    adjacent-pair mass plus jump inflow from non-neighbours."""
+    n = graph.n
+    pair = pair_pi.reshape(n, n)
+    marginal = pair.sum(axis=0)
+    adj = graph.adjacency_matrix().astype(float)
+    jump_in = marginal * [wcfg.step_weights(d)[0] / n for d in graph.degrees]
+    residual = marginal - np.einsum("ih,ih->h", adj, pair) - jump_in @ (1.0 - adj)
+    return float(np.max(np.abs(residual)))
 
 
 def random_graph(n: int, p: float, seed: int, n_isolated: int = 0, values=None) -> Graph:

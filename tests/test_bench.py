@@ -23,7 +23,9 @@ def test_bench_smoke_passes():
 
 def test_layer_probe_reads_the_kernel(monkeypatch):
     """The traced harness's pair-chain metrics come out of a tiny traced
-    stationary check and convergence run, in process."""
+    stationary check and convergence run, in process.  The check reads the
+    lumped law, so the test also solves the N^2 pair vector that the probe's
+    residual reads, through the patched ``lagwalk.stationary_pair``."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
     import child
 
@@ -36,6 +38,8 @@ def test_layer_probe_reads_the_kernel(monkeypatch):
         for campaign in (["stationary-check"], ["convergence", "--replicates", "3"]):
             cfg = cli.make_config(cli.build_parser().parse_args(campaign + graph))
             experiments.run_campaign(cfg)
+        wcfg = lagwalk.WalkConfig(r=0.5, w=0.3)
+        lagwalk.stationary_pair(lagwalk.build_pair_chain(experiments.load_graph(cfg), wcfg))
     finally:
         patcher.restore()
     assert probe.pair_matrix_bytes > 0

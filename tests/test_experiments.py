@@ -19,6 +19,7 @@ from lagwalk import (
     MotifKind,
     UnobservedEntryError,
     WalkConfig,
+    build_pair_chain,
     build_sample_graph,
     count_collisions,
     estimate_size_cr,
@@ -55,7 +56,7 @@ from lagwalk.experiments import (
     substream_seeds,
 )
 from lagwalk.sampling import WEIGHT_SCHEMES, WalkTrace
-from helpers import complete_graph, path_graph
+from helpers import complete_graph, path_graph, random_graph, reference_stationary_columns
 
 SMALL_GRAPH = dict(n_nodes=24, n_cases=6, p_case_case=0.6, p_case_noncase=0.2,
                    p_noncase_noncase=0.1, graph_seed=5)
@@ -121,6 +122,28 @@ class TestStationaryCheckRunner:
         rows = run_stationary_check(cfg, g)
         for row in rows:
             assert row["max_marginal_dev"] < 1e-10  # closed form is uniform here
+
+    @pytest.mark.parametrize("graph", [
+        # Node n hangs off node 0 and node n + 1 is isolated.
+        *(Graph(n + 2, [*random_graph(n, 0.3, seed).edges, (0, n)])
+          for n, seed in [(4, 1), (9, 2), (17, 3), (30, 4)]),
+        complete_graph(5),  # only the diagonal is non-adjacent
+        Graph(6, []),
+    ], ids=["random-6", "random-11", "random-19", "random-32", "complete-5", "edgeless-6"])
+    def test_lumped_columns_match_dense_reference(self, graph):
+        """Read off the lumped law, the columns agree with the ones the dense
+        N^2 pair vector gives, to rounding."""
+        r_values, w_values = (0.1, 1.0, 6.0), (0.0, 0.5, 1.0)
+        cfg = small_cfg(experiment="stationary-check", r_values=r_values, w_values=w_values)
+        rows = run_stationary_check(cfg, graph)
+        cells = [(r, w) for r in r_values for w in w_values]
+        assert [(row["r"], row["w"]) for row in rows] == cells
+        for row, (r, w) in zip(rows, cells):
+            wcfg = WalkConfig(r=r, w=w)
+            reference = reference_stationary_columns(graph, wcfg, build_pair_chain(graph, wcfg))
+            lumped = (row["max_marginal_dev"], row["max_pair_dev"], row["max_mixed_residual"])
+            assert np.abs(np.subtract(lumped, reference)).max() <= 1e-15, (r, w, lumped, reference)
+            assert row["n_states"] == graph.n ** 2
 
 
 class TestConvergenceRunner:
@@ -407,10 +430,10 @@ class TestCli:
     def test_unknown_subcommand_exits_2(self):
         assert self.run("not-an-experiment") == EXIT_CONFIG
 
-    def test_above_the_returned_pair_vector_cap(self, tmp_path, capsys):
+    def test_above_the_returned_pair_vector_cap(self, tmp_path):
         """N = 2,100 has 4,410,000 pair states, above MAX_PAIR_STATES.  The
-        lumped chain still runs a convergence campaign and propagates a law;
-        only stationary-check, which reads the N^2 pair vector, exits 2."""
+        lumped chain runs a convergence campaign, propagates a law and runs
+        stationary-check, which no longer reads the N^2 pair vector."""
         graph = ["--nodes", "2100", "--cases", "20", "--p-cc", "0.05", "--p-cn", "0.002",
                  "--p-nn", "0.002", "--r", "0.5", "--w", "0.3", "--jobs", "1"]
         out = tmp_path / "out.csv"
@@ -419,8 +442,34 @@ class TestCli:
         path, cfg = path_graph(2100), WalkConfig(r=0.5, w=0.3)
         pi = stationary_node(path, cfg)
         assert np.abs(marginal_at_t(path, cfg, pi, 16) - pi).max() < 1e-12
-        assert self.run("stationary-check", *graph) == EXIT_CONFIG
-        assert "pair state space 4410000 exceeds cap 4194304" in capsys.readouterr().err
+        assert self.run("stationary-check", *graph, "--out", str(out)) == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [row["n_states"] for row in rows] == ["4410000"]
+
+    def test_stationary_check_on_20000_nodes(self, tmp_path):
+        """4e8 pair states: the check reads only the lumped law.  The generator
+        would draw 2e8 node pairs at this N, so the test writes the graph."""
+        n = 20_000
+        pairs = np.sort(np.random.default_rng(5).integers(0, n - 10, size=(70_000, 2)), axis=1)
+        edges = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)[:60_000]
+        assert len(edges) == 60_000  # nodes n - 10, ..., n - 1 stay isolated
+        gpath, out = tmp_path / "big.edges", tmp_path / "out.csv"
+        gpath.write_text(f"N {n}\ncases 200\n" + "".join(f"{i} {j}\n" for i, j in edges.tolist()))
+        assert self.run("stationary-check", "--graph", str(gpath), "--r", "0.5", "--w", "0.3",
+                        "--out", str(out)) == EXIT_OK
+        (row,) = csv.DictReader(io.StringIO(out.read_text()))
+        assert row["n_states"] == "400000000"
+        assert row["edge_count"] == "60000"
+        for column in ("max_marginal_dev", "max_pair_dev", "max_mixed_residual"):
+            assert float(row[column]) < 1e-8
+
+    def test_oversize_generated_graph_exits_2(self, capsys):
+        """The generator's pair budget is checked before it allocates."""
+        code = self.run("prevalence", "--nodes", "100000000", "--p-cc", "0", "--p-cn", "0",
+                        "--p-nn", "0", "--replicates", "2")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "draws 4999999950000000 node pairs, above the cap of 33554432" in err
 
     def test_non_ergodic_exits_3(self):
         code = self.run("stationary-check", "--nodes", "8", "--cases", "2",
