@@ -165,10 +165,17 @@ def _window_pass(windows, value_of, provider, cfg: WalkConfig, kind: MotifKind, 
     are memoised by sequence (shared by ppw weights and window
     probabilities), and ppw tables, or the coverage failures that replace
     them by multiplicity weights, by occurrence key.
+
+    Past one state, a sequence weighs a_{x_0 x_1} + r/N times the steps out
+    of its interior states (:func:`sequence_prob`).  A kind observed on
+    windows of order q = 1 has no interior state: every equivalent sequence
+    is an adjacent pair of weight 1 + r/N, so its ppw weights are its
+    multiplicity weights, with no table and no coverage check.
     """
     prob = functools.cache(functools.partial(sequence_prob, provider, cfg))
     norm = 1.0 if size is None else 2.0 * size + cfg.r * provider.n
     uniform = 1.0 / MULTIPLICITY[kind]
+    uniform_only = scheme == "multiplicity" or scheme == "ppw" and OBSERVATION_ORDER[kind] == 1
     tables: dict = {}
 
     def ppw(key, window) -> float:
@@ -190,7 +197,7 @@ def _window_pass(windows, value_of, provider, cfg: WalkConfig, kind: MotifKind, 
     for window, keys in windows:
         if not keys:
             yield None, []
-        elif scheme == "multiplicity":
+        elif uniform_only:
             yield prob(window) / norm, [(value_of(key), uniform) for key in keys]
         else:
             yield prob(window) / norm, [(value_of(key), ppw(key, window)) for key in keys]

@@ -31,6 +31,11 @@ DEFAULT_GRAPH_SEED = 331
 # per pair at its peak (330 MB at N = 4,000), so it refuses more than this
 # many pairs: about N = 8,192 and 1.4 GB.
 MAX_GENERATED_PAIRS = 2**25
+# read_edge_list builds a value and a neighbour set per node from the N header
+# alone: about 250 bytes per node retained with no edge (480 at the peak), and
+# about 950 at mean degree 6 (tracemalloc, N = 100,000).  So it refuses an N
+# above this: about 1 GB before the first edge is read.
+MAX_GRAPH_NODES = 2**22
 
 
 class MotifKind(str, Enum):
@@ -291,7 +296,7 @@ def write_edge_list(g: Graph, path: str) -> None:
 
 
 def read_edge_list(path: str) -> Graph:
-    """Inverse of :func:`write_edge_list`."""
+    """Inverse of :func:`write_edge_list`.  Refuses more than ``MAX_GRAPH_NODES`` nodes."""
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -300,6 +305,9 @@ def read_edge_list(path: str) -> Graph:
     if len(lines) < 2 or not lines[0].startswith("N ") or not lines[1].startswith("cases "):
         raise ConfigError(f"{path}: expected 'N <n>' and 'cases <k>' header lines")
     (n,) = _int_fields(path, lines[0], skip=1, count=1)
+    if n > MAX_GRAPH_NODES:
+        raise ConfigError(f"{path}: N {n} is above the cap of {MAX_GRAPH_NODES} nodes "
+                          "(about 250 bytes each before any edge)")
     (k,) = _int_fields(path, lines[1], skip=1, count=1)
     if not 0 <= k <= n:
         raise ConfigError(f"{path}: cases {k} outside [0, {n}]")

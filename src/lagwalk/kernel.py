@@ -20,10 +20,11 @@ pair law factorises as
     pi_pair(i, h) = (a_ih + r/N)/C = pi(i) p(h | i, i),
 
 a stationary node followed by one lag-free step.  So the equilibrium
-probability of a run of successive states is pi(x_0) p(x_1 | x_0, x_0)
-times its in-run transitions, exactly and for every w (see
-:func:`sequence_prob`): the estimators' window probabilities are exact at
-equilibrium, not an approximation.  This module steps the pair chain on
+probability of a run of two or more successive states is pi_pair(x_0, x_1)
+times its in-run transitions p(x_{k+1} | x_k, x_{k-1}), exactly and for
+every w (see :func:`sequence_prob`): the estimators' window probabilities
+are exact at equilibrium, not an approximation, and read no degree but
+those of the run's interior states.  This module steps the pair chain on
 2R + N lumped states, in O(R + N) (see :class:`PairStateChain`), and solves
 it there by power iteration (:func:`stationary_lumped`) to verify the closed
 forms at any N; the explicit matrix is kept as a reference form.
@@ -338,16 +339,16 @@ def marginal_at_t(
 
 
 def sequence_prob(provider, cfg: WalkConfig, sequence) -> float:
-    """Unnormalised probability (d_0 + r) * prod p of a successive-state sequence at equilibrium.
+    """Unnormalised equilibrium probability of a successive-state sequence.
 
-    The first factor is the stationary weight of the first state and the
-    first transition uses the lag-free kernel; later transitions use the
-    in-sequence predecessor.  This is exact for every w, with no predecessor
-    to integrate out: the stationary pair law factorises as
-    pi_pair(i, h) = pi(i) p(h | i, i) (see the module docstring).
-    ``provider`` only needs degrees and adjacency for the sequence's nodes,
-    so an observed sample view suffices whenever the sequence lies inside
-    the seed sample.
+    A single state (h,) weighs d_h + r.  A longer sequence starts from the
+    stationary pair law, a_{x_0 x_1} + r/N (see the module docstring), and
+    multiplies its in-sequence transitions p(x_{k+1} | x_k, x_{k-1}).  This is
+    exact for every w, with no predecessor to integrate out.  Past one state
+    it reads only the degrees of the interior states x_1 ... x_{q-1} and the
+    adjacency around them, so an observed sample view suffices whenever the
+    interior states lie in the seed sample (and, for a pair, one of its two
+    states); the end states need not have been visited.
 
     The constant 2R + rN is left out: ratios cancel it, and the estimators
     divide a window's weight by it to get the normalised probability.
@@ -355,16 +356,19 @@ def sequence_prob(provider, cfg: WalkConfig, sequence) -> float:
     seq = tuple(sequence)
     if not seq:
         raise ConfigError("sequence must contain at least one state")
-    value = provider.degree(seq[0]) + cfg.r
-    prev = seq[0]
+    if len(seq) == 1:
+        return provider.degree(seq[0]) + cfg.r
+    value = 1.0
     for k in range(1, len(seq)):
-        p = transition_prob(provider, cfg, prev, seq[k - 1], seq[k])
+        if k == 1:
+            p = (1.0 if provider.has_edge(seq[0], seq[1]) else 0.0) + cfg.r / provider.n
+        else:
+            p = transition_prob(provider, cfg, seq[k - 2], seq[k - 1], seq[k])
         if p == 0.0:
             raise SequenceUnreachableError(
                 f"transition {seq[k - 1]} -> {seq[k]} has probability 0 (r = 0 and not adjacent)"
             )
         value *= p
-        prev = seq[k - 1]
     return value
 
 

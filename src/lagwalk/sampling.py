@@ -267,7 +267,12 @@ def _equivalent_sequences(provider, kind: MotifKind, nodes, center: int | None):
 def _ppw_weights(provider, kind, nodes, center, prob) -> dict[tuple[int, ...], float]:
     """PPW weights of an occurrence from ``prob``, the unnormalised probability of a sequence.
 
-    The normaliser is summed in :func:`equivalent_sequences` order.
+    The normaliser is summed in :func:`equivalent_sequences` order.  Each
+    sequence's weight reads the degrees of its interior states, or of its one
+    state when q = 0.  Every revealing window of a 3-path holds both interior
+    nodes, so a 3-path table is always computable from the seed sample; an
+    edge needs both end degrees and a 4-cycle all four, and raise
+    :class:`Es3CoverageError` when one was not visited.
     """
     seqs = _equivalent_sequences(provider, kind, nodes, center)
     try:

@@ -14,8 +14,11 @@ from lagwalk import (
     Graph,
     NoObservationsError,
     NonErgodicError,
+    SequenceUnreachableError,
     TotalEstimate,
     UnobservedEntryError,
+    WalkTrace,
+    build_sample_graph,
     sequence_prob,
     stationary_node,
     stationary_pair,
@@ -73,6 +76,57 @@ def reference_transition_prob(g, cfg, prev: int, cur: int, nxt: int) -> float:
         return jump + w * a_prev / denom
     a_next = 1 if g.has_edge(cur, nxt) else 0
     return jump + a_next * (d - w * a_prev) / (denom * (d - a_prev))
+
+
+def reference_sequence_prob(provider, cfg, sequence) -> float:
+    """The window weight in its earlier product form (d_0 + r) * p(x_1 | x_0, x_0) * ...,
+    which reads the first state's degree; kept verbatim as the reference for
+    the closed form of :func:`sequence_prob`."""
+    seq = tuple(sequence)
+    if not seq:
+        raise ConfigError("sequence must contain at least one state")
+    value = provider.degree(seq[0]) + cfg.r
+    prev = seq[0]
+    for k in range(1, len(seq)):
+        p = transition_prob(provider, cfg, prev, seq[k - 1], seq[k])
+        if p == 0.0:
+            raise SequenceUnreachableError(
+                f"transition {seq[k - 1]} -> {seq[k]} has probability 0 (r = 0 and not adjacent)"
+            )
+        value *= p
+        prev = seq[k - 1]
+    return value
+
+
+def walk_law(g: Graph, cfg):
+    """Every walk of ``cfg.walk_length`` steps from a stationary start, as
+    ``(states, probability)``: (d_0 + r)/(2R + rN) times a lag-free first step
+    and the lagged steps after it, all from :func:`transition_prob`."""
+    const = 2 * g.edge_count + cfg.r * g.n
+
+    def extend(states, prob):
+        if len(states) > cfg.walk_length:
+            yield tuple(states), prob
+            return
+        prev = states[-2] if len(states) > 1 else states[-1]  # the first step is lag-free
+        for nxt in range(g.n):
+            yield from extend(states + [nxt], prob * transition_prob(g, cfg, prev, states[-1], nxt))
+
+    for x0 in range(g.n):
+        yield from extend([x0], (g.degree(x0) + cfg.r) / const)
+
+
+def exact_expectation(g: Graph, cfg, estimator) -> np.ndarray:
+    """E[estimator(trace, sample graph)] over every walk of :func:`walk_law`, exactly.
+
+    ``estimator`` may return a float or a vector of floats.  The walks number
+    N^(T+1), so keep N and T small.
+    """
+    total = 0.0
+    for states, prob in walk_law(g, cfg):
+        trace = WalkTrace(states, cfg, g.n)
+        total = total + prob * np.asarray(estimator(trace, build_sample_graph(g, trace)))
+    return total
 
 
 def reference_stepper(g: Graph, cfg):
@@ -329,7 +383,8 @@ def brute_force_total(g: Graph, kind: str, value_mode: str = "ones") -> float:
 
 def reference_weights(provider, cfg, obs, scheme):
     seqs = equivalent_sequences(provider, obs)
-    if scheme == "multiplicity":
+    # A sequence of two states weighs a_{x0 x1} + r/N: ppw is uniform on windows of order 1.
+    if scheme == "multiplicity" or scheme == "ppw" and OBSERVATION_ORDER[obs.occurrence.kind] == 1:
         u = 1.0 / len(seqs)
         return {s: u for s in seqs}
     if scheme == "ppw":

@@ -31,11 +31,13 @@ from lagwalk import (
     replicate_summary,
     run_walk,
     sequence_prob,
+    stationary_node,
     stationary_pair,
     transition_prob,
     weighted_mean_degree,
 )
 from lagwalk import LagwalkError, enumerate_motifs, estimators
+from lagwalk.estimators import _trace_pass, _window_value
 from lagwalk.sampling import (
     MULTIPLICITY,
     OBSERVATION_ORDER,
@@ -47,6 +49,7 @@ from lagwalk.sampling import (
 from helpers import (
     brute_force_total,
     cycle_graph,
+    exact_expectation,
     figure_walk_graph,
     path_graph,
     random_graph,
@@ -440,7 +443,7 @@ class TestWindowPass:
         for obs_list in windows.values():
             for obs in obs_list:
                 occ = obs.occurrence
-                if scheme == "ppw":
+                if scheme == "ppw" and OBSERVATION_ORDER[kind] != 1:  # order 1: multiplicity weights
                     got = _outcome(_ppw_weights, provider, kind, occ.nodes, occ.center, prob)
                 else:
                     got = dict.fromkeys(equivalent_sequences(provider, obs), 1.0 / MULTIPLICITY[kind])
@@ -475,6 +478,47 @@ class TestWindowPass:
         for occ in occurrences:
             obs = MotifObservation(occ, (), 0)
             assert len(equivalent_sequences(g, obs)) == MULTIPLICITY[kind]
+
+
+def window_mean(trace, provider, cfg, kind, scheme, size):
+    """estimate_total's combined value as a campaign computes it (with the ppw
+    fallback), and 0 where no window of the trace reveals anything."""
+    values = [0.0 if pi is None else _window_value(pi, pairs)
+              for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, "product", True,
+                                           size)]
+    return sum(values) / len(values)
+
+
+# Where theory says the total is exact: every multiplicity total, and ppw where
+# an occurrence's weights read only what each of its revealing windows saw.
+EXACT_TOTALS = [(kind, "multiplicity") for kind in MotifKind] + [
+    (kind, "ppw") for kind in
+    (MotifKind.NODE, MotifKind.TWO_STAR, MotifKind.TRIANGLE, MotifKind.THREE_PATH)]
+
+
+class TestExactOracle:
+    """Each total's exact expectation at finite T, by enumerating every walk of
+    a 6-node graph that holds every kind, with each walk's sample graph."""
+
+    @pytest.mark.parametrize("seed", [0, 21, 25])
+    @pytest.mark.parametrize("r, w", [(0.7, 0.3), (0.2, 1.0), (3.0, 0.0)])
+    def test_totals_are_exact(self, seed, r, w):
+        g = random_graph(6, 0.55, seed, values=[1.0, 2.0, 0.5, 1.0, 3.0, 1.5])
+        cfg = WalkConfig(r=r, w=w, walk_length=3)
+        got = exact_expectation(g, cfg, lambda trace, sg: [
+            window_mean(trace, sg, cfg, kind, scheme, g.edge_count) for kind, scheme in EXACT_TOTALS])
+        truth = [brute_force_total(g, kind.value, "product") for kind, _ in EXACT_TOTALS]
+        assert min(truth) > 0
+        np.testing.assert_allclose(got, truth, rtol=1e-12, atol=0)
+
+    def test_walk_law_sums_to_one(self):
+        g = random_graph(6, 0.55, 25)
+        cfg = WalkConfig(r=0.7, w=0.3, walk_length=3)
+        assert exact_expectation(g, cfg, lambda trace, sg: 1.0) == pytest.approx(1.0, abs=1e-14)
+        # the start law is the stationary one, and stays so at every step
+        for t in (0, 3):
+            marginal = exact_expectation(g, cfg, lambda trace, sg: np.eye(g.n)[trace.states[t]])
+            np.testing.assert_allclose(marginal, stationary_node(g, cfg), rtol=1e-13)
 
 
 class TestReplicateSummary:

@@ -32,6 +32,7 @@ from lagwalk import (
     write_edge_list,
 )
 from lagwalk import cli, experiments
+from lagwalk.graph import MAX_GRAPH_NODES
 from lagwalk.cli import (
     _SETTINGS,
     EXIT_CONFIG,
@@ -266,6 +267,22 @@ class TestMotifTotalRunner:
         assert targets["total"]["true_total"] > 0
         assert 0 <= targets["ratio"]["true_ratio"] <= 1
 
+    @pytest.mark.parametrize("normalization", ["exact", "estimated"])
+    def test_triangle_ppw_is_multiplicity(self, normalization):
+        """Every equivalent sequence of a triangle weighs 1 + r/N, so the ppw
+        rows are the multiplicity rows, bit for bit, but for their label."""
+        rows = {}
+        for scheme in WEIGHT_SCHEMES:
+            cfg = CampaignConfig(experiment="motif-total", motif=MotifKind.TRIANGLE, weights=scheme,
+                                 normalization=normalization, r_values=(0.5, 2.0), w_values=(0.3,),
+                                 lengths=(40,), replicates=6, replicates_ratio=4, seed=3,
+                                 max_failure_rate=1.0)
+            rows[scheme] = [{k: v for k, v in row.items() if k != "weights"}
+                            for row in run_motif_total(cfg)]
+        assert len(rows["ppw"]) == 4
+        assert all(row["mean"] > 0 for row in rows["ppw"])
+        assert rows["ppw"] == rows["multiplicity"]
+
     def test_failure_threshold_raises(self):
         cfg = small_cfg(experiment="motif-total", lengths=(6,), replicates=8,
                         replicates_ratio=8, normalization="exact", max_failure_rate=0.1)
@@ -470,6 +487,15 @@ class TestCli:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "draws 4999999950000000 node pairs, above the cap of 33554432" in err
+
+    def test_oversize_edge_list_header_exits_2(self, tmp_path, capsys):
+        """The node budget is checked on the N header, before anything is built."""
+        gpath = tmp_path / "huge.edges"
+        gpath.write_text(f"N {MAX_GRAPH_NODES + 1}\ncases 0\n0 1\n")
+        code = self.run("prevalence", "--graph", str(gpath), "--replicates", "2")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"N {MAX_GRAPH_NODES + 1} is above the cap of {MAX_GRAPH_NODES} nodes" in err
 
     def test_non_ergodic_exits_3(self):
         code = self.run("stationary-check", "--nodes", "8", "--cases", "2",
@@ -893,8 +919,8 @@ CSV_DIGESTS = {
     "motif-total-four-cycle-ppw-estimated": "4ae4a11746aecf2bee1aeeadd81ca7e94a8986a0f8e55e47a664f6c8a9ad4557",
     "motif-total-three-path-multiplicity-exact": "c220e14406312dc0ae655c0b0e083e90754bc2575c01a7e04410ab3129f2ec77",
     "motif-total-three-path-multiplicity-estimated": "11f2feea58897123295c298b3374f7796a63c86ab22f9031a71e22a1476df202",
-    "motif-total-three-path-ppw-exact": "b9b9c6865331aa8ec1ae86a490fa034a6aed3e257493cf93ca6f48fc261e87d3",
-    "motif-total-three-path-ppw-estimated": "294ee535a7e8177ae110e6283bbdcd5022372628c241d321481aac5c0266510f",
+    "motif-total-three-path-ppw-exact": "5414b6caa0fd0e7af60a455e40ffb436fe820eb14789f20947601f199d0d331d",
+    "motif-total-three-path-ppw-estimated": "0605fc5f8d6c707faae0b9784244b4acc418a43a5812744f97cb2aa20843229e",
 }
 
 

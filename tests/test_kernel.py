@@ -20,8 +20,11 @@ from lagwalk import (
     PairStateChain,
     SequenceUnreachableError,
     StateSpaceError,
+    UnobservedEntryError,
     WalkConfig,
+    WalkTrace,
     build_pair_chain,
+    build_sample_graph,
     marginal_at_t,
     sequence_prob,
     stationary_node,
@@ -38,6 +41,7 @@ from helpers import (
     lumped_law,
     path_graph,
     random_graph,
+    reference_sequence_prob,
     reference_stationary_pair,
     reference_stationary_start,
     reference_stepper,
@@ -566,6 +570,31 @@ class TestSequenceProb:
     def test_empty_sequence_rejected(self, path5):
         with pytest.raises(ConfigError):
             sequence_prob(path5, WalkConfig(r=1.0), ())
+
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_closed_form_matches_product_form(self, seed):
+        """a_{x0 x1} + r/N equals (d_0 + r) p(x_1 | x_0, x_0) on every sequence."""
+        g = Graph(7, list(random_graph(5, 0.5, seed).edges) + [(0, 5)])  # 5 pendant, 6 isolated
+        assert g.degree(5) == 1 and g.degree(6) == 0
+        seqs = [seq for length in range(1, 5) for seq in itertools.product(range(g.n), repeat=length)]
+        for r, w in GRID:
+            cfg = WalkConfig(r=r, w=w)
+            got = [sequence_prob(g, cfg, seq) for seq in seqs]
+            expected = [reference_sequence_prob(g, cfg, seq) for seq in seqs]
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+    def test_first_state_need_not_be_visited(self):
+        """A 3-path's equivalent sequence that starts off the seed sample reads
+        only its interior degrees, so the audited view answers it."""
+        g = path_graph(4)  # the 3-path 0 - 1 - 2 - 3
+        cfg = WalkConfig(r=0.5, w=0.3)
+        sg = build_sample_graph(g, WalkTrace((1, 2, 1), cfg, g.n))
+        for seq in [(0, 1, 2), (3, 2, 1)]:
+            assert sequence_prob(sg, cfg, seq) == sequence_prob(g, cfg, seq)
+            assert sequence_prob(g, cfg, seq) == pytest.approx(
+                reference_sequence_prob(g, cfg, seq), rel=1e-14, abs=0)
+            with pytest.raises(UnobservedEntryError):
+                reference_sequence_prob(sg, cfg, seq)
 
     def test_exact_matches_product_for_pairs(self):
         g = random_graph(7, 0.4, seed=4)

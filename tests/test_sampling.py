@@ -345,15 +345,45 @@ class TestIncidenceWeights:
         light = min(weights, key=weights.get)
         assert light[1] == 2
 
-    def test_ppw_needs_full_coverage(self, k3):
+    def test_ppw_needs_full_coverage(self, c4):
         cfg = WalkConfig(r=1.0, w=1.0)
+        trace = make_trace([0, 1, 2], c4)
+        sg = build_sample_graph(c4, trace)  # node 3 observed but never visited
+        obs = detect_observations(trace, sg, MotifKind.FOUR_CYCLE, "ones")[0]
+        # the sequences (0, 3, 2) and (2, 3, 0) step out of node 3
+        with pytest.raises(Es3CoverageError, match="not observed"):
+            ppw_weights(sg, cfg, obs)
+        with pytest.raises(Es3CoverageError):
+            estimate_total(trace, sg, cfg, MotifKind.FOUR_CYCLE, "ppw")
+        # multiplicity weights need only the equivalent sequences
+        assert len(equivalent_sequences(sg, obs)) == MULTIPLICITY[MotifKind.FOUR_CYCLE]
+
+    def test_triangle_ppw_needs_no_coverage(self, k3):
+        """Every equivalent sequence of a triangle weighs 1 + r/N, so ppw is
+        multiplicity and reads nothing of the unvisited corner."""
+        cfg = WalkConfig(r=1.0, w=0.4)
         trace = make_trace([0, 1], k3)
         sg = build_sample_graph(k3, trace)  # node 2 observed but never visited
-        obs = detect_observations(trace, sg, MotifKind.TRIANGLE, "ones")[0]
-        with pytest.raises(Es3CoverageError):
-            ppw_weights(sg, cfg, obs)
-        # multiplicity weights need only the equivalent sequences
-        assert len(equivalent_sequences(sg, obs)) == MULTIPLICITY[MotifKind.TRIANGLE]
+        got = estimate_total(trace, sg, cfg, MotifKind.TRIANGLE, "ppw", ppw_fallback=False)
+        expected = estimate_total(trace, sg, cfg, MotifKind.TRIANGLE, "multiplicity")
+        assert got.window_values == expected.window_values
+        assert got.theta_hat == expected.theta_hat > 0
+        assert (estimate_ratio(trace, sg, cfg, MotifKind.TRIANGLE, "ppw")
+                == estimate_ratio(trace, sg, cfg, MotifKind.TRIANGLE, "multiplicity"))
+
+    def test_three_path_ppw_never_falls_back(self):
+        """Every revealing window of a 3-path holds both interior nodes, which is
+        all its ppw table reads."""
+        g = random_graph(40, 0.1, seed=8)
+        cfg = WalkConfig(r=0.5, w=0.3, walk_length=20)
+        checked = 0
+        for seed in range(10):
+            trace = run_walk(g, cfg, random.Random(seed))
+            sg = build_sample_graph(g, trace)
+            for obs in detect_observations(trace, sg, MotifKind.THREE_PATH):
+                assert ppw_weights(sg, cfg, obs) == ppw_weights(g, cfg, obs)
+                checked += 1
+        assert checked > 100
 
     def test_unknown_scheme(self, k3):
         trace = make_trace([0, 1], k3)
