@@ -9,9 +9,11 @@ combined (GR-CR) estimator that does not consume the known order N.
 Motif totals: a window that reveals occurrences is inverse-weighted by its
 stationary sequence probability and split across the occurrence's
 equivalent sequences by incidence weights, giving a per-window unbiased
-estimator; windows are then combined as a ratio of sums over informative
-windows.  Ratio parameters cancel the unknown normalisation constant, so
-they need no size estimate.
+estimator; the total is the mean of the per-window estimates over every
+window of the trace, a window that reveals nothing counting 0.  A ratio
+parameter divides the value total by the count total, summed over the
+windows that reveal something; it cancels the unknown normalisation
+constant, so it needs no size estimate.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .sampling import (
     OBSERVATION_ORDER,
     WEIGHT_SCHEMES,
     MotifObservation,
+    SampleGraph,
     WalkTrace,
     _ppw_weights,
     _window_occurrences,
@@ -154,17 +157,17 @@ def estimate_size_grcr(stat: CollisionStat, d_bar_w: float, r: float) -> SizeEst
     return SizeEstimate("grcr", r_hat, n_hat=n_hat, d_bar_w=d_bar_w, negative=r_hat < 0)
 
 
-def _window_pass(windows, value_of, provider, cfg: WalkConfig, kind: MotifKind, scheme: str,
+def _window_pass(windows, provider, cfg: WalkConfig, kind: MotifKind, scheme: str,
                  ppw_fallback: bool, size: float | None = None):
-    """``(pi, [(value, weight), ...])`` for each ``(window, occurrence keys)`` of ``windows``.
+    """``(pi, [(value, weight), ...])`` for each ``(window, keys, values)`` of ``windows``.
 
-    ``value_of`` maps a key to the occurrence's value; an empty window yields
-    ``(None, [])``.  Given a ``size`` R, a window's probability is its
-    unnormalised weight divided by 2R + rN; without one it stays
-    unnormalised.  For the pass only, unnormalised sequence probabilities
-    are memoised by sequence (shared by ppw weights and window
-    probabilities), and ppw tables, or the coverage failures that replace
-    them by multiplicity weights, by occurrence key.
+    ``keys`` are the occurrence keys the window reveals and ``values`` their
+    values, in the same order; an empty window yields ``(None, [])``.  Given
+    a ``size`` R, a window's probability is its unnormalised weight divided
+    by 2R + rN; without one it stays unnormalised.  For the pass only,
+    unnormalised sequence probabilities are memoised by sequence (shared by
+    ppw weights and window probabilities), and ppw tables, or the coverage
+    failures that replace them by multiplicity weights, by occurrence key.
 
     Past one state, a sequence weighs a_{x_0 x_1} + r/N times the steps out
     of its interior states (:func:`sequence_prob`).  A kind observed on
@@ -194,25 +197,53 @@ def _window_pass(windows, value_of, provider, cfg: WalkConfig, kind: MotifKind, 
             tables[key] = table
         return uniform if table is None else table[window]
 
-    for window, keys in windows:
+    for window, keys, values in windows:
         if not keys:
             yield None, []
         elif uniform_only:
-            yield prob(window) / norm, [(value_of(key), uniform) for key in keys]
+            yield prob(window) / norm, [(value, uniform) for value in values]
         else:
-            yield prob(window) / norm, [(value_of(key), ppw(key, window)) for key in keys]
+            yield prob(window) / norm, [(value, ppw(key, window)) for key, value in zip(keys, values)]
+
+
+def _reveal(provider, kind: MotifKind, value_mode: str):
+    """``window -> (window, keys, values)``: what the detection rule reveals on a window.
+
+    The rule's answers are memoised on the graph, once per kind and value
+    mode, for every window whose consecutive states are adjacent: at most N
+    windows for q = 0, 2R for q = 1 and sum d(d - 1) for q = 2, and
+    ``MULTIPLICITY[kind]`` keys per occurrence.  A window with a jump in it
+    is never stored.  A stored answer is handed back only when every state of
+    the window is in the provider's seed sample.  The rule reads only the
+    rows of the window's states and the values of those states and their
+    neighbours, all observable then, so on any other window it runs through
+    the provider's audited reads, as it does on a miss.
+    """
+    memo = provider.derived(("reveals", kind, value_mode), dict)
+    observed = provider.seed.issuperset if isinstance(provider, SampleGraph) else None
+
+    def reveal(window):
+        entry = memo.get(window)
+        if entry is not None and (observed is None or observed(window)):
+            return entry
+        keys = _window_occurrences(provider, window, kind)
+        entry = window, keys, [motif_value(provider, nodes, value_mode) for _, nodes in keys]
+        if all(map(provider.has_edge, window, window[1:])):
+            memo[window] = entry
+        return entry
+
+    return reveal
 
 
 def _trace_pass(trace: WalkTrace, provider, cfg: WalkConfig, kind: MotifKind, scheme: str,
                 value_mode: str, ppw_fallback: bool, size=None):
-    """:func:`_window_pass` over every window of the trace."""
+    """:func:`_window_pass` over every window of the trace, each revealed by :func:`_reveal`."""
     q = OBSERVATION_ORDER[kind]
     states = trace.states
     if len(states) <= q:
         raise NoObservationsError(f"trace of length {len(states)} has no window of order {q}")
-    windows = ((window, _window_occurrences(provider, window, kind))
-               for window in (states[t : t + q + 1] for t in range(len(states) - q)))
-    return _window_pass(windows, lambda key: motif_value(provider, key[1], value_mode),
+    windows = (states[t : t + q + 1] for t in range(len(states) - q))
+    return _window_pass(map(_reveal(provider, kind, value_mode), windows),
                         provider, cfg, kind, scheme, ppw_fallback, size)
 
 
@@ -244,17 +275,15 @@ def estimate_total_window(
     if not observations:
         return 0.0, 0
     window = observations[0].sequence
-    values = {}
 
-    def keys():  # checked lazily, so errors keep the order of the observations
+    def values():  # checked lazily, so errors keep the order of the observations
         for obs in observations:
             if obs.sequence != window:
                 raise ConfigError("estimate_total_window expects observations from one window")
-            occ = obs.occurrence
-            values[occ.center, occ.nodes] = occ.value
-            yield occ.center, occ.nodes
+            yield obs.occurrence.value
 
-    ((pi, pairs),) = _window_pass([(window, keys())], values.__getitem__, provider, cfg,
+    keys = [(obs.occurrence.center, obs.occurrence.nodes) for obs in observations]
+    ((pi, pairs),) = _window_pass([(window, keys, values())], provider, cfg,
                                   observations[0].occurrence.kind, scheme, ppw_fallback, size)
     return _window_value(pi, pairs), 1
 

@@ -261,17 +261,33 @@ def render_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The worker of the pool this process serves, installed once by _install_worker.
+_worker = None
+
+
+def _install_worker(worker) -> None:
+    global _worker
+    _worker = worker
+
+
+def _call_worker(*seeds):
+    return _worker(*seeds)
+
+
 def _run_indexed(worker, jobs: int, *seeds: list[int]):
     """Run worker(seed_x[, seed_y]) over the replicates' seeds, one list per
     stream, with results in replicate order.  A pool starts all its workers at
-    once, so it gets no more than there are usable CPUs or replicates."""
+    once, so it gets no more than there are usable CPUs or replicates.  Each
+    pool process receives the worker, and the graph in it, once, so the
+    tables the graph derives are built once per process, not once per chunk."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(jobs, cpus or 1, len(seeds[0]))
     if jobs <= 1:
         return list(map(worker, *seeds))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, initializer=_install_worker,
+                                                initargs=(worker,)) as pool:
         chunk = max(1, len(seeds[0]) // (jobs * 8))
-        return list(pool.map(worker, *seeds, chunksize=chunk))
+        return list(pool.map(_call_worker, *seeds, chunksize=chunk))
 
 
 def _walk_config(cfg: CampaignConfig, r: float, w: float, length: int) -> WalkConfig:
@@ -412,7 +428,7 @@ def _prevalence_rep(graph: Graph, wcfg: WalkConfig, burn_in: int, scheme: str,
         mu = estimate_ratio(trace, sg, wcfg, MotifKind.NODE, scheme)
     except NoObservationsError:
         mu = np.nan
-    return mu, trace.traverse
+    return mu, len(sg.seed) / graph.n  # the trace's traverse, off the seed set already built
 
 
 def run_prevalence(cfg: CampaignConfig, graph: Graph | None = None) -> list[dict]:

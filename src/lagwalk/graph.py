@@ -296,24 +296,29 @@ def write_edge_list(g: Graph, path: str) -> None:
 
 
 def read_edge_list(path: str) -> Graph:
-    """Inverse of :func:`write_edge_list`.  Refuses more than ``MAX_GRAPH_NODES`` nodes."""
+    """Inverse of :func:`write_edge_list`.  Refuses more than ``MAX_GRAPH_NODES`` nodes.
+
+    The header is checked before any edge is read, and the edge lines are
+    streamed into the graph one at a time.
+    """
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = filter(None, map(str.strip, fh))
+            header = list(itertools.islice(lines, 2))
+            if (len(header) < 2 or not header[0].startswith("N ")
+                    or not header[1].startswith("cases ")):
+                raise ConfigError(f"{path}: expected 'N <n>' and 'cases <k>' header lines")
+            (n,) = _int_fields(path, header[0], skip=1, count=1)
+            if n > MAX_GRAPH_NODES:
+                raise ConfigError(f"{path}: N {n} is above the cap of {MAX_GRAPH_NODES} nodes "
+                                  "(about 250 bytes each before any edge)")
+            (k,) = _int_fields(path, header[1], skip=1, count=1)
+            if not 0 <= k <= n:
+                raise ConfigError(f"{path}: cases {k} outside [0, {n}]")
+            edges = (tuple(_int_fields(path, ln, skip=0, count=2)) for ln in lines)
+            return Graph(n, edges, [1.0] * k + [0.0] * (n - k))
     except OSError as exc:
         raise ConfigError(f"cannot read graph file {path}: {exc}") from exc
-    if len(lines) < 2 or not lines[0].startswith("N ") or not lines[1].startswith("cases "):
-        raise ConfigError(f"{path}: expected 'N <n>' and 'cases <k>' header lines")
-    (n,) = _int_fields(path, lines[0], skip=1, count=1)
-    if n > MAX_GRAPH_NODES:
-        raise ConfigError(f"{path}: N {n} is above the cap of {MAX_GRAPH_NODES} nodes "
-                          "(about 250 bytes each before any edge)")
-    (k,) = _int_fields(path, lines[1], skip=1, count=1)
-    if not 0 <= k <= n:
-        raise ConfigError(f"{path}: cases {k} outside [0, {n}]")
-    edges = [tuple(_int_fields(path, ln, skip=0, count=2)) for ln in lines[2:]]
-    values = [1.0] * k + [0.0] * (n - k)
-    return Graph(n, edges, values)
 
 
 def _int_fields(path: str, line: str, skip: int, count: int) -> list[int]:

@@ -136,11 +136,14 @@ def transition_prob(g, cfg: WalkConfig, prev: int, cur: int, nxt: int) -> float:
 
 
 def make_stepper(g: Graph, cfg: WalkConfig):
-    """Sampler closure drawing the next state exactly from the one-step law.
+    """Sampler closure ``walk(prev, cur, steps, rng)``: the ``steps`` states drawn
+    after ``cur``, each exactly from the one-step law given the two before it.
 
-    Two-stage scheme: a jump-vs-move coin, then the within-move choice
-    (backtrack coin plus uniform pick among the remaining neighbours).  The
-    composition reproduces the transition row exactly.
+    Two-stage scheme per step: a jump-vs-move coin, then the within-move
+    choice (backtrack coin plus uniform pick among the remaining
+    neighbours).  The composition reproduces the transition row exactly.
+    One call draws a whole walk in one loop, with the same coins in the same
+    order as one call per step would draw them.
 
     A uniform pick below m is drawn as CPython's ``rng.randrange(m)`` draws
     it, so the streams are those of ``randrange``: ``m.bit_length()`` bits
@@ -155,30 +158,36 @@ def make_stepper(g: Graph, cfg: WalkConfig):
     degs = g.degrees
     deg_bits = g.derived("degree-bit-lengths", lambda: tuple(d.bit_length() for d in degs))
 
-    def next_state(prev: int, cur: int, rng: random.Random) -> int:
-        d = degs[cur]
-        if d == 0 and r == 0:
-            raise NonErgodicError(f"node {cur} is a sink: degree 0 and r = 0")
-        if d == 0 or rng.random() * (d + r) < r:
-            j = rng.getrandbits(n_bits)
-            while j >= n:
-                j = rng.getrandbits(n_bits)
-            return j
-        cur_nbrs = nbrs[cur]
-        if d == 1:
-            return cur_nbrs[0]
-        if prev in adj[cur] and rng.random() * d < w:
-            return prev
-        # A pick equal to prev is redrawn; a non-adjacent prev is never picked.
-        bits = deg_bits[cur]
-        while True:
-            k = rng.getrandbits(bits)
-            while k >= d:
-                k = rng.getrandbits(bits)
-            if cur_nbrs[k] != prev:
-                return cur_nbrs[k]
+    def walk(prev: int, cur: int, steps: int, rng: random.Random) -> list[int]:
+        coin, getrandbits = rng.random, rng.getrandbits
+        states = []
+        for _ in range(steps):
+            d = degs[cur]
+            if d == 0 or coin() * (d + r) < r:
+                if r == 0:  # no coin lands below r = 0, so cur is a sink
+                    raise NonErgodicError(f"node {cur} is a sink: degree 0 and r = 0")
+                nxt = getrandbits(n_bits)
+                while nxt >= n:
+                    nxt = getrandbits(n_bits)
+            elif d == 1:
+                nxt = nbrs[cur][0]
+            elif prev in adj[cur] and coin() * d < w:
+                nxt = prev
+            else:
+                # A pick equal to prev is redrawn; a non-adjacent prev is never picked.
+                cur_nbrs, bits = nbrs[cur], deg_bits[cur]
+                while True:
+                    k = getrandbits(bits)
+                    while k >= d:
+                        k = getrandbits(bits)
+                    nxt = cur_nbrs[k]
+                    if nxt != prev:
+                        break
+            states.append(nxt)
+            prev, cur = cur, nxt
+        return states
 
-    return next_state
+    return walk
 
 
 class PairStateChain:

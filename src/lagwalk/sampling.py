@@ -89,14 +89,8 @@ def run_walk(g: Graph, cfg: WalkConfig, rng: random.Random) -> WalkTrace:
     if cfg.r == 0 and g.degrees[x0] == 0:
         # no r = 0 step reaches a sink, so only the start can be one
         raise NonErgodicError(f"node {x0} is a sink: degree 0 and r = 0")
-    states = [x0]
-    stepper = make_stepper(g, cfg)
-    prev = cur = x0
-    for _ in range(cfg.walk_length):
-        nxt = stepper(prev, cur, rng)
-        states.append(nxt)
-        prev, cur = cur, nxt
-    return WalkTrace(tuple(states), cfg, g.n)
+    walk = make_stepper(g, cfg)
+    return WalkTrace((x0, *walk(x0, x0, cfg.walk_length, rng)), cfg, g.n)
 
 
 class SampleGraph:
@@ -116,6 +110,16 @@ class SampleGraph:
         self._adj = graph._adj
         self._degrees = graph.degrees
         self._values = graph.values
+        self._derived = graph.derived
+
+    def derived(self, key, build):
+        """The graph's table for ``key`` (see :meth:`Graph.derived`).
+
+        No audited read goes through it: the estimators keep there only
+        what they read through an audited view, and hand it back only where
+        this view observes it.
+        """
+        return self._derived(key, build)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

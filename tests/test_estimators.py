@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,11 +38,13 @@ from lagwalk import (
     weighted_mean_degree,
 )
 from lagwalk import LagwalkError, enumerate_motifs, estimators
+from lagwalk.experiments import CampaignConfig, load_graph, run_campaign
 from lagwalk.estimators import _trace_pass, _window_value
 from lagwalk.sampling import (
     MULTIPLICITY,
     OBSERVATION_ORDER,
     MotifObservation,
+    SampleGraph,
     detect_observations,
     _ppw_weights,
     equivalent_sequences,
@@ -478,6 +481,95 @@ class TestWindowPass:
         for occ in occurrences:
             obs = MotifObservation(occ, (), 0)
             assert len(equivalent_sequences(g, obs)) == MULTIPLICITY[kind]
+
+
+def reveal_memo(g, kind, value_mode):
+    """The windows whose detection the estimators keep on ``g``."""
+    return g.derived(("reveals", kind, value_mode), dict)
+
+
+class TestRevealMemo:
+    """Detection answers kept on the graph change no estimate and no error,
+    hold only windows of adjacent states, and are audited on every read."""
+
+    @pytest.mark.parametrize("value_mode", ["product", "ones"])
+    @pytest.mark.parametrize("scheme", ["multiplicity", "ppw"])
+    @pytest.mark.parametrize("kind", list(MotifKind))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        n=st.integers(4, 10),
+        density=st.floats(0.3, 0.9),
+        ppw_fallback=st.booleans(),
+        size=st.one_of(st.none(), st.floats(1.0, 60.0)),
+        r=st.floats(0.05, 2.0),
+        w=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_warm_memo_matches_reference_exactly(self, data, n, density, kind, scheme, value_mode,
+                                                 ppw_fallback, size, r, w, seed):
+        """Many walks on one graph, so later walks read windows earlier ones stored."""
+        values = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
+        g = random_graph(n, density, seed, values=values)
+        rng = random.Random(seed)
+        for k in range(8):
+            cfg = WalkConfig(r=r, w=w, walk_length=rng.randint(2, 14), init="uniform")
+            trace = run_walk(g, cfg, rng)
+            provider = build_sample_graph(g, trace) if k % 4 else g
+            expected = _outcome(reference_total, trace, provider, cfg, kind, scheme, value_mode,
+                                size, ppw_fallback)
+            got = _outcome(estimate_total, trace, provider, cfg, kind, scheme, value_mode,
+                           size, ppw_fallback)
+            assert got == expected
+            expected = _outcome(reference_ratio, trace, provider, cfg, kind, scheme, ppw_fallback)
+            got = _outcome(estimate_ratio, trace, provider, cfg, kind, scheme,
+                           ppw_fallback=ppw_fallback)
+            assert got == expected
+            windows: dict[int, list] = {}
+            for obs in detect_observations(trace, provider, kind, value_mode):
+                windows.setdefault(obs.t, []).append(obs)
+            for obs_list in windows.values():
+                args = (obs_list, provider, cfg, scheme, size, ppw_fallback)
+                assert (_outcome(estimate_total_window, *args)
+                        == _outcome(reference_total_window, *args))
+
+    @pytest.mark.parametrize("kind", list(MotifKind))
+    def test_stored_window_is_audited(self, kind):
+        """A window stored from one walk, read through a sample graph whose
+        seed sample lacks one of its states, still raises."""
+        g = figure_walk_graph()
+        cfg = WalkConfig(r=0.5, w=0.5, walk_length=400, init="uniform")
+        trace = run_walk(g, cfg, random.Random(1))
+        estimate_total(trace, build_sample_graph(g, trace), cfg, kind)
+        window, keys, _ = next(e for e in reveal_memo(g, kind, "product").values() if e[1])
+        short = WalkTrace(window, replace(cfg, walk_length=len(window) - 1), g.n)
+        sg = SampleGraph(g, frozenset(window[:-1]))
+        assert window[-1] not in sg.seed
+        for estimate in (estimate_total, estimate_ratio):
+            with pytest.raises(UnobservedEntryError):
+                estimate(short, sg, cfg, kind)
+        # The full graph and a sample graph holding the window read the stored answer.
+        for provider in (g, SampleGraph(g, frozenset(window))):
+            est = estimate_total(short, provider, cfg, kind)
+            assert est.n_informative == 1
+
+    def test_campaign_memo_bound(self):
+        """After a demo-graph triangle campaign at most 2R windows are stored
+        for each value mode, each a pair of adjacent states."""
+        cfg = CampaignConfig(experiment="motif-total", weights="ppw", lengths=(50,),
+                             r_values=(0.1, 6.0), w_values=(1.0,), replicates=20,
+                             replicates_ratio=20)
+        graph = load_graph(cfg)  # the demo graph, not the shared fixture's copy
+        run_campaign(cfg, graph)
+        n_triangles = len(enumerate_motifs(graph, MotifKind.TRIANGLE))
+        for value_mode in ("ones", "product"):
+            memo = reveal_memo(graph, MotifKind.TRIANGLE, value_mode)
+            assert 0 < len(memo) <= 2 * graph.edge_count
+            assert sum(len(keys) for _, keys, _ in memo.values()) <= 6 * n_triangles
+            for window, (stored, keys, values) in memo.items():
+                assert stored == window
+                assert all(graph.has_edge(a, b) for a, b in zip(window, window[1:]))
+                assert len(keys) == len(values)
 
 
 def window_mean(trace, provider, cfg, kind, scheme, size):

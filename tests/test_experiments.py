@@ -352,8 +352,10 @@ class TestReproducibility:
         started = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 started.append(max_workers)
+                if initializer is not None:
+                    initializer(*initargs)  # as each worker process runs it when it starts
 
             def __enter__(self):
                 return self

@@ -154,9 +154,9 @@ class TestStep:
         rng = random.Random(42)
         n_draws = 1_000_000
         counts = np.zeros(5)
-        stepper = make_stepper(path5, cfg)
+        walk = make_stepper(path5, cfg)
         for _ in range(n_draws):
-            counts[stepper(1, 2, rng)] += 1
+            counts[walk(1, 2, 1, rng)[0]] += 1
         freq = counts / n_draws
         row = transition_row(path5, cfg, 1, 2)
         se = np.sqrt(row * (1 - row) / n_draws)
@@ -189,10 +189,10 @@ class TestStep:
         prev = nbrs[prev % len(nbrs)] if came_along_edge and nbrs else prev % g.n
         cfg = WalkConfig(r=r, w=w)
         row = transition_row(g, cfg, prev, cur)
-        stepper = make_stepper(g, cfg)
+        walk = make_stepper(g, cfg)
         rng = random.Random(seed)
         n_draws = 20_000
-        counts = np.bincount([stepper(prev, cur, rng) for _ in range(n_draws)], minlength=g.n)
+        counts = np.bincount([walk(prev, cur, 1, rng)[0] for _ in range(n_draws)], minlength=g.n)
         assert counts[row == 0].sum() == 0
         expected = n_draws * row[row > 0]
         observed = counts[row > 0]
@@ -224,10 +224,10 @@ class TestStep:
         rng, ref_rng = random.Random(seed), random.Random(seed)
         for w in (0.0, 0.5, 1.0):
             cfg = WalkConfig(r=r, w=w)
-            stepper, reference = make_stepper(g, cfg), reference_stepper(g, cfg)
+            walk, reference = make_stepper(g, cfg), reference_stepper(g, cfg)
             for prev, cur in itertools.product(range(g.n), repeat=2):
                 for _ in range(4):
-                    assert stepper(prev, cur, rng) == reference(prev, cur, ref_rng), (w, prev, cur)
+                    assert walk(prev, cur, 1, rng) == [reference(prev, cur, ref_rng)], (w, prev, cur)
                     assert rng.getstate() == ref_rng.getstate(), (w, prev, cur)
 
     def test_picks_are_randrange_draws(self):
@@ -237,13 +237,13 @@ class TestStep:
         rng, ref_rng = random.Random(5), random.Random(5)
         for m in range(1, 1101):
             jump = make_stepper(Graph(m, []), WalkConfig(r=1.0))
-            assert jump(0, 0, rng) == ref_rng.randrange(m), m
+            assert jump(0, 0, 1, rng) == [ref_rng.randrange(m)], m
             assert rng.getstate() == ref_rng.getstate(), m
             if m == 1:
                 continue  # a degree-1 node moves without a pick
             # At r = 5e-324 the jump coin is drawn and never lands.
             star = Graph(m + 1, [(0, j) for j in range(1, m + 1)])
-            pick = make_stepper(star, WalkConfig(r=5e-324))(0, 0, rng)
+            (pick,) = make_stepper(star, WalkConfig(r=5e-324))(0, 0, 1, rng)
             ref_rng.random()
             assert pick == 1 + ref_rng.randrange(m), m
             assert rng.getstate() == ref_rng.getstate(), m
@@ -251,22 +251,23 @@ class TestStep:
     def test_support_without_jumps(self, path5):
         cfg = WalkConfig(r=0.0, w=1.0)
         rng = random.Random(0)
-        stepper = make_stepper(path5, cfg)
-        seen = {stepper(1, 2, rng) for _ in range(200)}
+        walk = make_stepper(path5, cfg)
+        seen = {walk(1, 2, 1, rng)[0] for _ in range(200)}
         assert seen <= {1, 3}
 
     def test_isolated_node_jump(self):
         g = Graph(6, [(0, 1)])
         cfg = WalkConfig(r=2.0)
         rng = random.Random(1)
-        stepper = make_stepper(g, cfg)
-        seen = {stepper(5, 5, rng) for _ in range(300)}
+        walk = make_stepper(g, cfg)
+        seen = {walk(5, 5, 1, rng)[0] for _ in range(300)}
         assert seen == set(range(6))
 
     def test_sink_raises(self):
         g = Graph(3, [(0, 1)])
-        with pytest.raises(NonErgodicError):
-            make_stepper(g, WalkConfig(r=0.0))(2, 2, random.Random(0))
+        for steps in (1, 10):
+            with pytest.raises(NonErgodicError):
+                make_stepper(g, WalkConfig(r=0.0))(2, 2, steps, random.Random(0))
 
 
 class TestPairChain:

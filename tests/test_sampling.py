@@ -12,6 +12,7 @@ from lagwalk import (
     Graph,
     MotifKind,
     MotifOccurrence,
+    NonErgodicError,
     UnobservedEntryError,
     WalkConfig,
     WalkTrace,
@@ -30,12 +31,14 @@ from lagwalk.sampling import (
     MotifObservation,
     _ppw_weights,
 )
+from lagwalk.kernel import sample_initial_state
 from helpers import (
     figure_walk_graph,
     observable_answers,
     observed_nodes,
     path_graph,
     random_graph,
+    reference_stepper,
 )
 
 
@@ -74,6 +77,36 @@ class TestRunWalk:
         rng = random.Random(2024)
         psis = [run_walk(study_graph, cfg, rng).traverse for _ in range(300)]
         assert 0.28 <= np.mean(psis) <= 0.36  # about a third of the graph
+
+    @pytest.mark.parametrize("r", [5e-324, 0.1, 1.0, 6.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_walk_matches_the_reference_stepper(self, r, seed):
+        """A walk drawn in one loop equals, state by state and in its final rng
+        state, the walk helpers.reference_stepper draws one step at a time, on
+        graphs with a 2-path tail (degree-1 nodes) and an isolated node."""
+        core = random_graph(8, 0.4, seed)
+        g = Graph(11, list(core.edges) + [(0, 8), (8, 9)])
+        inits = [{"init": "stationary"}, {"init": "uniform"},
+                 {"init": "fixed", "init_node": 9}, {"init": "fixed", "init_node": 10}]
+        for w, init, length in itertools.product((0.0, 0.5, 1.0), inits, (0, 1, 16, 116)):
+            cfg = WalkConfig(r=r, w=w, walk_length=length, **init)
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            trace = run_walk(g, cfg, rng)
+            step = reference_stepper(g, cfg)
+            states = [sample_initial_state(g, cfg, ref_rng)]
+            prev = states[0]
+            for _ in range(length):
+                states.append(step(prev, states[-1], ref_rng))
+                prev = states[-2]
+            assert trace.states == tuple(states), (w, init, length)
+            assert rng.getstate() == ref_rng.getstate(), (w, init, length)
+
+    @pytest.mark.parametrize("length", [0, 1, 5])
+    def test_sink_start_without_jumps_raises(self, length):
+        g = Graph(4, [(0, 1), (1, 2)])  # node 3 is isolated
+        cfg = WalkConfig(r=0.0, walk_length=length, init="fixed", init_node=3)
+        with pytest.raises(NonErgodicError, match="node 3 is a sink"):
+            run_walk(g, cfg, random.Random(0))
 
 
 class TestSampleGraph:
