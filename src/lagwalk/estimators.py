@@ -209,15 +209,15 @@ def _window_pass(windows, provider, cfg: WalkConfig, kind: MotifKind, scheme: st
 def _reveal(provider, kind: MotifKind, value_mode: str):
     """``window -> (window, keys, values)``: what the detection rule reveals on a window.
 
-    The rule's answers are memoised on the graph, once per kind and value
-    mode, for every window whose consecutive states are adjacent: at most N
-    windows for q = 0, 2R for q = 1 and sum d(d - 1) for q = 2, and
-    ``MULTIPLICITY[kind]`` keys per occurrence.  A window with a jump in it
-    is never stored.  A stored answer is handed back only when every state of
-    the window is in the provider's seed sample.  The rule reads only the
-    rows of the window's states and the values of those states and their
-    neighbours, all observable then, so on any other window it runs through
-    the provider's audited reads, as it does on a miss.
+    A window with a jump in it reveals nothing and skips the rule.  The
+    rule's answers on the others are memoised on the graph, once per kind and
+    value mode: at most N windows for q = 0, 2R for q = 1 and sum d(d - 1)
+    for q = 2, and ``MULTIPLICITY[kind]`` keys per occurrence.  A stored
+    answer is handed back only when every state of the window is in the
+    provider's seed sample.  The rule reads only the rows of the window's
+    states and the values of those states and their neighbours, all
+    observable then, so on any other window it runs through the provider's
+    audited reads, as it does on a miss.
     """
     memo = provider.derived(("reveals", kind, value_mode), dict)
     observed = provider.seed.issuperset if isinstance(provider, SampleGraph) else None
@@ -226,10 +226,11 @@ def _reveal(provider, kind: MotifKind, value_mode: str):
         entry = memo.get(window)
         if entry is not None and (observed is None or observed(window)):
             return entry
+        if not all(map(provider.has_edge, window, window[1:])):
+            return window, [], []
         keys = _window_occurrences(provider, window, kind)
-        entry = window, keys, [motif_value(provider, nodes, value_mode) for _, nodes in keys]
-        if all(map(provider.has_edge, window, window[1:])):
-            memo[window] = entry
+        values = [motif_value(provider, nodes, value_mode) for _, nodes in keys]
+        memo[window] = entry = window, keys, values
         return entry
 
     return reveal

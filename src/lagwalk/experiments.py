@@ -68,6 +68,11 @@ _STREAM_RATIO = 2
 
 _MAX_SEED = 1 << 63
 
+# substream_seeds holds about 92 bytes per replicate and stream at its peak
+# (tracemalloc, n = 10**5 and 10**6), so a campaign refuses more replicates
+# than this: about 1.5 GB per stream before the first walk.
+MAX_REPLICATES = 2**24
+
 # SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -118,6 +123,10 @@ class CampaignConfig:
             raise ConfigError(f"{self.experiment} reports an SD and needs replicates >= 2")
         if self.experiment == "motif-total" and self.replicates_ratio < 2:
             raise ConfigError("motif-total reports an SD and needs replicates_ratio >= 2")
+        for name, b in (("replicates", self.replicates), ("replicates_ratio", self.replicates_ratio)):
+            if b > MAX_REPLICATES:
+                raise ConfigError(f"{name}={b} is above the cap of {MAX_REPLICATES} "
+                                  "(about 92 bytes of seeds each per stream)")
         if not self.r_values or not self.w_values or not self.lengths:
             raise ConfigError("r, w and length grids must be nonempty")
         for r in self.r_values:

@@ -309,6 +309,8 @@ def read_edge_list(path: str) -> Graph:
                     or not header[1].startswith("cases ")):
                 raise ConfigError(f"{path}: expected 'N <n>' and 'cases <k>' header lines")
             (n,) = _int_fields(path, header[0], skip=1, count=1)
+            if n < 1:
+                raise ConfigError(f"{path}: N {n} must be at least 1")
             if n > MAX_GRAPH_NODES:
                 raise ConfigError(f"{path}: N {n} is above the cap of {MAX_GRAPH_NODES} nodes "
                                   "(about 250 bytes each before any edge)")
@@ -317,7 +319,7 @@ def read_edge_list(path: str) -> Graph:
                 raise ConfigError(f"{path}: cases {k} outside [0, {n}]")
             edges = (tuple(_int_fields(path, ln, skip=0, count=2)) for ln in lines)
             return Graph(n, edges, [1.0] * k + [0.0] * (n - k))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read graph file {path}: {exc}") from exc
 
 

@@ -6,25 +6,25 @@ is exactly the part of the adjacency matrix in s x U union U x s.  The
 :class:`SampleGraph` view is access-audited: any query outside the observed
 region raises, which is how downstream estimators are kept honest.
 
-Observation rules per motif kind (window length q + 1):
+Observation rules (window length q + 1):
 
 * node (q=0): the visited node itself.
-* edge (q=0): every edge incident to the visited node.
 * 2-star (q=0): every pair of neighbours of the visited node, anchored there.
   A leaf visit shows only one of the two edges, so the center visit is the
   only revealing single state.
-* triangle (q=1): an adjacent consecutive pair (i, j) reveals every triangle
-  containing both i and j.
-* 4-cycle / 3-path (q=2): two successive adjacent moves along the motif.
+* edge, triangle, 4-cycle and 3-path (induced, q = 0, 1, 2, 2): a window of
+  successively adjacent states that is an induced path (distinct states, no
+  chord) reveals the graphlet on the window plus each neighbour h that
+  touches exactly the window positions of a row of :data:`COMPLETIONS`.
 
 A window counts as an adjacent move whenever the consecutive states are
 adjacent, regardless of whether the sampler's internal coin was a jump that
 happened to land on a neighbour; the one-step law already sums both routes.
 
 The equivalent-sequence set of an occurrence is the set of windows on which
-the corresponding rule fires, e.g. the 6 ordered adjacent pairs of a
-triangle, the 8 directed two-edge paths along a 4-cycle, the 4 along a
-3-path, the 2 endpoints of an edge, and the center alone for a 2-star.
+its rule fires: a graphlet's ordered paths on q + 1 nodes, e.g. the 2
+endpoints of an edge, the 6 ordered adjacent pairs of a triangle, the 8
+directed two-edge paths along a 4-cycle, the 4 along a 3-path.
 """
 
 from __future__ import annotations
@@ -37,15 +37,19 @@ from .errors import ConfigError, Es3CoverageError, NonErgodicError, UnobservedEn
 from .graph import Graph, MotifKind, MotifOccurrence, motif_value
 from .kernel import WalkConfig, make_stepper, sample_initial_state
 
-# Window length minus one needed to observe each motif kind.
-OBSERVATION_ORDER = {
-    MotifKind.NODE: 0,
-    MotifKind.EDGE: 0,
-    MotifKind.TWO_STAR: 0,
-    MotifKind.TRIANGLE: 1,
-    MotifKind.FOUR_CYCLE: 2,
-    MotifKind.THREE_PATH: 2,
+# The window positions that the k-th node h of each induced graphlet
+# touches, one row per way to complete the window, in the order detection
+# reports them (a 3-path's z side first).
+COMPLETIONS = {
+    MotifKind.EDGE: ((0,),),
+    MotifKind.TRIANGLE: ((0, 1),),
+    MotifKind.FOUR_CYCLE: ((0, 2),),
+    MotifKind.THREE_PATH: ((2,), (0,)),
 }
+
+# Window length minus one needed to observe each motif kind.
+OBSERVATION_ORDER = {kind: max(COMPLETIONS[kind][0]) if kind in COMPLETIONS else 0
+                     for kind in MotifKind}
 
 # Number of equivalent sequences of an occurrence of each kind; a
 # multiplicity weight is one over it.
@@ -172,36 +176,25 @@ def _window_occurrences(provider, window: tuple[int, ...], kind: MotifKind) -> l
     """Keys (center, nodes) revealed by one window; only 2-stars have a center."""
     if kind is MotifKind.NODE:
         return [(None, frozenset(window))]
-    if kind is MotifKind.EDGE:
-        h = window[0]
-        return [(None, frozenset((h, j))) for j in sorted(provider.neighbors_of(h))]
     if kind is MotifKind.TWO_STAR:
         h = window[0]
         return [
             (h, frozenset((h, i, j)))
             for i, j in itertools.combinations(sorted(provider.neighbors_of(h)), 2)
         ]
-    if kind is MotifKind.TRIANGLE:
-        i, j = window
-        if i == j or not provider.has_edge(i, j):
-            return []
-        common = provider.neighbors_of(i) & provider.neighbors_of(j)
-        return [(None, frozenset((i, j, k))) for k in sorted(common)]
-    if kind in (MotifKind.FOUR_CYCLE, MotifKind.THREE_PATH):
-        x, y, z = window
-        if x == z or not (provider.has_edge(x, y) and provider.has_edge(y, z)):
-            return []
-        if provider.has_edge(x, z):
-            return []  # chord: the window is not a piece of an induced 4-node motif
-        # A fourth node h off y closes a cycle through both ends, or extends
-        # the path at one end only (the z side first).
-        nx, nz = provider.neighbors_of(x), provider.neighbors_of(z)
-        if kind is MotifKind.FOUR_CYCLE:
-            fourth = sorted((nx & nz) - {y})
-        else:
-            fourth = sorted(nz - nx) + sorted(nx - nz)
-        return [(None, frozenset((x, y, z, h))) for h in fourth if not provider.has_edge(y, h)]
-    raise ConfigError(f"unsupported motif kind {kind!r}")
+    if kind not in COMPLETIONS:
+        raise ConfigError(f"unsupported motif kind {kind!r}")
+    has_edge, n = provider.has_edge, len(window)
+    if (not all(map(has_edge, window, window[1:])) or len(set(window)) < n
+            or any(has_edge(window[i], window[j]) for j in range(2, n) for i in range(j - 1))):
+        return []  # not an induced path
+    rows = [provider.neighbors_of(s) for s in window]
+    keys = []
+    for touched in COMPLETIONS[kind]:  # h: in the touched rows, no other row, not the window
+        last = frozenset.intersection(*(rows[p] for p in touched)).difference(
+            *(rows[p] for p in range(n) if p not in touched), window)
+        keys += [(None, frozenset((*window, h))) for h in sorted(last)]
+    return keys
 
 
 def detect_observations(
@@ -233,8 +226,8 @@ def equivalent_sequences(provider, obs: MotifObservation) -> tuple[tuple[int, ..
     Raises :class:`ConfigError` when the node set does not form the kind.
     """
     occ = obs.occurrence
-    # Counting windows tests only an edge's or triangle's size; detected ones need no check.
-    if occ.kind in (MotifKind.EDGE, MotifKind.TRIANGLE) and not all(
+    # Counting windows tests only an edge's size; detected ones need no check.
+    if occ.kind is MotifKind.EDGE and not all(
             provider.has_edge(u, v) for u, v in itertools.combinations(occ.nodes, 2)):
         raise ConfigError(f"nodes {sorted(occ.nodes)} do not form a {occ.kind.value}")
     return _equivalent_sequences(provider, occ.kind, occ.nodes, occ.center)
@@ -244,23 +237,24 @@ def _equivalent_sequences(provider, kind: MotifKind, nodes, center: int | None):
     """The windows on which the observation rule of ``kind`` reveals the occurrence, sorted.
 
     Raises :class:`ConfigError` unless there are ``MULTIPLICITY[kind]`` of
-    them, which is how a set of the wrong size or a 4-node set not of the kind shows.
+    them, which is how a set of the wrong size or not of the kind shows.
     """
     nodes = sorted(nodes)
     if kind is MotifKind.NODE or kind is MotifKind.EDGE:
         seqs = tuple(zip(nodes))
     elif kind is MotifKind.TWO_STAR:
         seqs = ((center,),)
-    elif kind is MotifKind.TRIANGLE:
-        seqs = tuple(itertools.permutations(nodes, 2))
-    elif kind is MotifKind.FOUR_CYCLE or kind is MotifKind.THREE_PATH:
-        # Two successive moves (u, m, v) inside the node set, which the
-        # fourth node completes.
-        seqs = ()
-        if len(nodes) == 4:
-            seqs = tuple(sorted(
-                (u, m, v) for m in nodes
-                for u, v in itertools.permutations([j for j in nodes if provider.has_edge(m, j)], 2)))
+    elif kind in COMPLETIONS:
+        # The ordered paths on q + 1 of the q + 2 nodes: through each m, m's neighbours at the ends.
+        q, seqs = OBSERVATION_ORDER[kind], ()
+        if len(nodes) == q + 2:
+            around = {m: [] for m in nodes}
+            for u, v in itertools.combinations(nodes, 2):  # each pair read once
+                if provider.has_edge(u, v):
+                    around[u].append(v)
+                    around[v].append(u)
+            seqs = tuple(sorted((ends[0], m) + ends[1:] for m, nbrs in around.items()
+                                for ends in itertools.permutations(nbrs, q)))
     else:
         raise ConfigError(f"unsupported motif kind {kind!r}")
     if len(seqs) != MULTIPLICITY[kind]:

@@ -24,7 +24,8 @@ from lagwalk import (
     stationary_pair,
     transition_prob,
 )
-from lagwalk.sampling import OBSERVATION_ORDER, detect_observations, equivalent_sequences
+from lagwalk.graph import MotifKind
+from lagwalk.sampling import MULTIPLICITY, OBSERVATION_ORDER, detect_observations, equivalent_sequences
 
 
 def path_graph(n: int, values=None) -> Graph:
@@ -464,3 +465,83 @@ def reference_ratio(trace, provider, cfg, kind, scheme="multiplicity", ppw_fallb
     if informative == 0:
         raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
     return num / den
+
+
+# The detection and sequence rules as they were first written, one branch per
+# kind, kept to check the table-driven rules of ``lagwalk.sampling`` against.
+
+def reference_window_occurrences(provider, window: tuple[int, ...], kind: MotifKind) -> list[tuple]:
+    """Keys (center, nodes) revealed by one window; only 2-stars have a center."""
+    if kind is MotifKind.NODE:
+        return [(None, frozenset(window))]
+    if kind is MotifKind.EDGE:
+        h = window[0]
+        return [(None, frozenset((h, j))) for j in sorted(provider.neighbors_of(h))]
+    if kind is MotifKind.TWO_STAR:
+        h = window[0]
+        return [
+            (h, frozenset((h, i, j)))
+            for i, j in itertools.combinations(sorted(provider.neighbors_of(h)), 2)
+        ]
+    if kind is MotifKind.TRIANGLE:
+        i, j = window
+        if i == j or not provider.has_edge(i, j):
+            return []
+        common = provider.neighbors_of(i) & provider.neighbors_of(j)
+        return [(None, frozenset((i, j, k))) for k in sorted(common)]
+    if kind in (MotifKind.FOUR_CYCLE, MotifKind.THREE_PATH):
+        x, y, z = window
+        if x == z or not (provider.has_edge(x, y) and provider.has_edge(y, z)):
+            return []
+        if provider.has_edge(x, z):
+            return []  # chord: the window is not a piece of an induced 4-node motif
+        # A fourth node h off y closes a cycle through both ends, or extends
+        # the path at one end only (the z side first).
+        nx, nz = provider.neighbors_of(x), provider.neighbors_of(z)
+        if kind is MotifKind.FOUR_CYCLE:
+            fourth = sorted((nx & nz) - {y})
+        else:
+            fourth = sorted(nz - nx) + sorted(nx - nz)
+        return [(None, frozenset((x, y, z, h))) for h in fourth if not provider.has_edge(y, h)]
+    raise ConfigError(f"unsupported motif kind {kind!r}")
+
+
+def reference_equivalent_sequences(provider, obs) -> tuple[tuple[int, ...], ...]:
+    """All windows that would reveal the occurrence under its observation rule.
+
+    Raises :class:`ConfigError` when the node set does not form the kind.
+    """
+    occ = obs.occurrence
+    # Counting windows tests only an edge's or triangle's size; detected ones need no check.
+    if occ.kind in (MotifKind.EDGE, MotifKind.TRIANGLE) and not all(
+            provider.has_edge(u, v) for u, v in itertools.combinations(occ.nodes, 2)):
+        raise ConfigError(f"nodes {sorted(occ.nodes)} do not form a {occ.kind.value}")
+    return _reference_equivalent_sequences(provider, occ.kind, occ.nodes, occ.center)
+
+
+def _reference_equivalent_sequences(provider, kind: MotifKind, nodes, center: int | None):
+    """The windows on which the observation rule of ``kind`` reveals the occurrence, sorted.
+
+    Raises :class:`ConfigError` unless there are ``MULTIPLICITY[kind]`` of
+    them, which is how a set of the wrong size or a 4-node set not of the kind shows.
+    """
+    nodes = sorted(nodes)
+    if kind is MotifKind.NODE or kind is MotifKind.EDGE:
+        seqs = tuple(zip(nodes))
+    elif kind is MotifKind.TWO_STAR:
+        seqs = ((center,),)
+    elif kind is MotifKind.TRIANGLE:
+        seqs = tuple(itertools.permutations(nodes, 2))
+    elif kind is MotifKind.FOUR_CYCLE or kind is MotifKind.THREE_PATH:
+        # Two successive moves (u, m, v) inside the node set, which the
+        # fourth node completes.
+        seqs = ()
+        if len(nodes) == 4:
+            seqs = tuple(sorted(
+                (u, m, v) for m in nodes
+                for u, v in itertools.permutations([j for j in nodes if provider.has_edge(m, j)], 2)))
+    else:
+        raise ConfigError(f"unsupported motif kind {kind!r}")
+    if len(seqs) != MULTIPLICITY[kind]:
+        raise ConfigError(f"nodes {nodes} do not form a {kind.value}")
+    return seqs

@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from lagwalk import (
     weighted_mean_degree,
     write_edge_list,
 )
-from lagwalk import cli, experiments
+from lagwalk import cli, estimators, experiments
 from lagwalk.graph import MAX_GRAPH_NODES
 from lagwalk.cli import (
     _SETTINGS,
@@ -46,6 +47,7 @@ from lagwalk.cli import (
 )
 from lagwalk.errors import ObservationFailureError
 from lagwalk.experiments import (
+    MAX_REPLICATES,
     format_cell,
     render_csv,
     run_campaign,
@@ -283,6 +285,37 @@ class TestMotifTotalRunner:
         assert all(row["mean"] > 0 for row in rows["ppw"])
         assert rows["ppw"] == rows["multiplicity"]
 
+    def test_rule_runs_once_per_adjacent_window_and_value_mode(self, monkeypatch, study_graph):
+        """On the demo graph a jump window skips the detection rule, and the
+        graph keeps what the rule found, so each adjacent window runs it at
+        most once per value mode: "ones" for totals, "product" for ratios."""
+        calls = Counter()
+        mode = []
+        reveal, rule = estimators._reveal, estimators._window_occurrences
+
+        def tagged_reveal(provider, kind, value_mode):
+            inner = reveal(provider, kind, value_mode)
+
+            def tagged(window):
+                mode[:] = [value_mode]
+                return inner(window)
+            return tagged
+
+        def counted_rule(provider, window, kind):
+            calls[window, mode[0]] += 1
+            return rule(provider, window, kind)
+
+        monkeypatch.setattr(estimators, "_reveal", tagged_reveal)
+        monkeypatch.setattr(estimators, "_window_occurrences", counted_rule)
+        cfg = CampaignConfig(experiment="motif-total", motif=MotifKind.TRIANGLE, weights="ppw",
+                             r_values=(0.1, 6.0), w_values=(1.0, 0.01), lengths=(50,),
+                             replicates=8, replicates_ratio=8, seed=7, max_failure_rate=1.0)
+        run_motif_total(cfg)
+        assert {value_mode for _, value_mode in calls} == {"ones", "product"}
+        assert set(calls.values()) == {1}
+        assert all(study_graph.has_edge(*window) for window, _ in calls)
+        assert len(calls) <= 2 * 2 * study_graph.edge_count
+
     def test_failure_threshold_raises(self):
         cfg = small_cfg(experiment="motif-total", lengths=(6,), replicates=8,
                         replicates_ratio=8, normalization="exact", max_failure_rate=0.1)
@@ -498,6 +531,29 @@ class TestCli:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"N {MAX_GRAPH_NODES + 1} is above the cap of {MAX_GRAPH_NODES} nodes" in err
+
+    @pytest.mark.parametrize("flag", ["--graph", "--config"])
+    def test_non_utf8_input_file_exits_2(self, tmp_path, capsys, flag):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfeN\x00 \x003\x00\n\x00")
+        assert self.run("prevalence", flag, str(path), "--replicates", "2") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot read {flag[2:]} file {path}: 'utf-8' codec can't decode" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--replicates", "--replicates-ratio"])
+    @pytest.mark.parametrize("b", [MAX_REPLICATES + 1, 100_000_000_000])
+    def test_oversize_replicates_exits_2(self, capsys, monkeypatch, flag, b):
+        """The replicate budget is checked before any seed is drawn."""
+        def no_seeds(*args):
+            raise AssertionError("seeds were drawn")
+
+        monkeypatch.setattr(experiments, "substream_seeds", no_seeds)
+        code = self.run("motif-total", "--nodes", "10", "--cases", "2", "--r", "1", "--w", "1",
+                        "--walk-length", "8", flag, str(b))
+        assert code == EXIT_CONFIG
+        name = flag[2:].replace("-", "_")
+        assert f"{name}={b} is above the cap of {MAX_REPLICATES}" in capsys.readouterr().err
 
     def test_non_ergodic_exits_3(self):
         code = self.run("stationary-check", "--nodes", "8", "--cases", "2",

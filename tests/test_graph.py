@@ -195,6 +195,14 @@ class TestEdgeListIO:
         with pytest.raises(ConfigError):
             write_edge_list(g, str(tmp_path / "bad.edges"))
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_empty_or_negative_order(self, tmp_path, n):
+        """N is checked before the cases count that is bounded by it."""
+        path = tmp_path / "bad.edges"
+        path.write_text(f"N {n}\ncases 0\n")
+        with pytest.raises(ConfigError, match=f"N {n} must be at least 1"):
+            read_edge_list(str(path))
+
     def test_rejects_malformed_file(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("nonsense\n")

@@ -26,10 +26,13 @@ from lagwalk import (
     sequence_prob,
 )
 from lagwalk.sampling import (
+    COMPLETIONS,
     MULTIPLICITY,
     OBSERVATION_ORDER,
     MotifObservation,
+    SampleGraph,
     _ppw_weights,
+    _window_occurrences,
 )
 from lagwalk.kernel import sample_initial_state
 from helpers import (
@@ -38,7 +41,9 @@ from helpers import (
     observed_nodes,
     path_graph,
     random_graph,
+    reference_equivalent_sequences,
     reference_stepper,
+    reference_window_occurrences,
 )
 
 
@@ -327,6 +332,74 @@ class TestEquivalentSequences:
                         for o in detect_observations(spliced, g, kind, "ones")
                     }
                     assert (obs.occurrence.nodes, obs.occurrence.center) in again
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ConfigError, UnobservedEntryError) as exc:
+        return type(exc), str(exc)
+
+
+def _graphs_with_pendant_and_isolated(count):
+    """Random graphs on 4 to 8 nodes: the last node is isolated, the one before a pendant of 0."""
+    for seed in range(count):
+        n = 4 + seed % 5
+        core = random_graph(n - 2, 0.6, seed)
+        yield Graph(n, [*core.edges, (0, n - 2)])
+
+
+class TestOneWindowRule:
+    """The table-driven rules against the per-kind rules they replace."""
+
+    def test_tables_cover_every_kind(self):
+        assert set(OBSERVATION_ORDER) == set(MULTIPLICITY) == set(MotifKind)
+        assert set(COMPLETIONS) == set(MotifKind) - {MotifKind.NODE, MotifKind.TWO_STAR}
+        assert all(COMPLETIONS[kind] for kind in COMPLETIONS)
+        assert OBSERVATION_ORDER == {MotifKind.NODE: 0, MotifKind.EDGE: 0, MotifKind.TWO_STAR: 0,
+                                     MotifKind.TRIANGLE: 1, MotifKind.FOUR_CYCLE: 2,
+                                     MotifKind.THREE_PATH: 2}
+
+    @pytest.mark.parametrize("kind", list(MotifKind))
+    def test_windows_match_the_per_kind_rules(self, kind):
+        """Every window, read through the graph and through views seeded with
+        the window and with its first state: the same keys in the same order,
+        or the same error."""
+        q = OBSERVATION_ORDER[kind]
+        for g in _graphs_with_pendant_and_isolated(15):
+            for window in itertools.product(range(g.n), repeat=q + 1):
+                for provider in (g, SampleGraph(g, frozenset(window)),
+                                 SampleGraph(g, frozenset(window[:1]))):
+                    want = _outcome(reference_window_occurrences, provider, window, kind)
+                    assert _outcome(_window_occurrences, provider, window, kind) == want
+
+    @pytest.mark.parametrize("kind", list(MotifKind))
+    def test_sequences_match_the_per_kind_rules(self, kind):
+        """Every node set of one to five nodes, read through the graph and
+        through views seeded with the set and with its least node.
+
+        One outcome differs: a set that is not a triangle, seen through a
+        view that leaves one of its pairs unobserved.  The per-kind rule reads
+        pairs up to the first missing edge, at any size; the path rule refuses
+        a set of the wrong size before it reads, and otherwise reads every
+        pair.  So either may name the unobserved pair or the missing shape.
+        """
+        for g in _graphs_with_pendant_and_isolated(15):
+            for size in range(1, 6):
+                for nodes in itertools.combinations(range(g.n), size):
+                    centers = nodes if kind is MotifKind.TWO_STAR else (None,)
+                    for center in centers:
+                        occ = MotifOccurrence(kind, frozenset(nodes), 1.0, center)
+                        obs = MotifObservation(occ, (), -1)
+                        for provider in (g, SampleGraph(g, frozenset(nodes)),
+                                         SampleGraph(g, frozenset(nodes[:1]))):
+                            want = _outcome(reference_equivalent_sequences, provider, obs)
+                            got = _outcome(equivalent_sequences, provider, obs)
+                            if got != want:
+                                assert kind is MotifKind.TRIANGLE and provider is not g
+                                assert _outcome(equivalent_sequences, g, obs)[0] is ConfigError
+                                assert {want[0], got[0]} == {ConfigError, UnobservedEntryError}
 
 
 def ppw_weights(provider, cfg, obs):
