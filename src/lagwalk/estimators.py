@@ -14,11 +14,20 @@ window of the trace, a window that reveals nothing counting 0.  A ratio
 parameter divides the value total by the count total, summed over the
 windows that reveal something; it cancels the unknown normalisation
 constant, so it needs no size estimate.
+
+What the estimators read through a walk's audited sample view is kept on
+the graph (:meth:`Graph.derived`), bounded by the graph, not by the walks:
+each node's terms d + r, 1/(d + r), y/(d + r) and d/(d + r) per r, each
+window's unnormalised probability per (r, w), and what the detection rule
+reveals on a window per kind and value mode.  A kept entry is read back
+only where the view's seed sample holds every state it was read from;
+elsewhere the audited reads run, so every value and error is the one the
+view gives.  Float sums are left folds in a fixed order, never builtin
+``sum``, which is compensated from Python 3.12 on.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -91,6 +100,40 @@ class ReplicateSummary:
     se: float
 
 
+def _observes(provider):
+    """``states -> bool``, true where the provider's seed sample holds every
+    state; None for a provider that observes everything."""
+    return provider.seed.issuperset if isinstance(provider, SampleGraph) else None
+
+
+def _node_terms(provider, r: float, states):
+    """``(d + r, 1/(d + r), y/(d + r), d/(d + r))`` of each state, or None.
+
+    The terms are kept on the graph, once per r: at most N entries.  They
+    are read back, or read once through the provider, only when the
+    provider's seed sample holds every state, so none of those reads can be
+    refused.  A state with d + r = 0 is never stored.  None means a state is
+    unobserved or has d + r = 0: the caller then reads through the audited
+    view as it always did, which raises where and as it should.
+    """
+    observed = _observes(provider)
+    if observed is not None and not observed(states):
+        return None
+    memo = provider.derived(("node-terms", r), dict)
+    try:
+        return [memo[h] for h in states]
+    except KeyError:
+        pass
+    for h in states:
+        if h not in memo:
+            d = provider.degree(h)
+            pi = d + r
+            if pi == 0:
+                return None
+            memo[h] = pi, 1.0 / pi, provider.value(h) / pi, d / pi
+    return [memo[h] for h in states]
+
+
 def count_collisions(trace_x: WalkTrace, trace_y: WalkTrace, provider, r: float) -> CollisionStat:
     """m = sum over matched index pairs of 1/(d_h + r), over every state of both traces.
 
@@ -99,11 +142,15 @@ def count_collisions(trace_x: WalkTrace, trace_y: WalkTrace, provider, r: float)
     xs, ys = trace_x.states, trace_y.states
     cnt_x = Counter(xs)
     cnt_y = Counter(ys)
+    matched = [h for h in cnt_x if h in cnt_y]
+    terms = _node_terms(provider, r, matched)
     m = 0.0
-    for h, cx in cnt_x.items():
-        cy = cnt_y.get(h)
-        if cy:
-            m += cx * cy / (provider.degree(h) + r)
+    if terms is None:
+        for h in matched:
+            m += cnt_x[h] * cnt_y[h] / (provider.degree(h) + r)
+    else:
+        for h, (pi, _, _, _) in zip(matched, terms):
+            m += cnt_x[h] * cnt_y[h] / pi
     return CollisionStat(m=m, n_x=len(xs), n_y=len(ys))
 
 
@@ -130,10 +177,16 @@ def weighted_mean_degree(traces: Sequence[WalkTrace], providers: Sequence, r: fl
     num = 0.0
     den = 0.0
     for trace, provider in zip(traces, providers, strict=True):
-        for h in trace.states:
-            d = provider.degree(h)
-            num += d / (d + r)
-            den += 1.0 / (d + r)
+        terms = _node_terms(provider, r, trace.states)
+        if terms is None:
+            for h in trace.states:
+                d = provider.degree(h)
+                num += d / (d + r)
+                den += 1.0 / (d + r)
+        else:
+            for _, inv, _, d_w in terms:
+                num += d_w
+                den += inv
     return num / den
 
 
@@ -164,10 +217,11 @@ def _window_pass(windows, provider, cfg: WalkConfig, kind: MotifKind, scheme: st
     ``keys`` are the occurrence keys the window reveals and ``values`` their
     values, in the same order; an empty window yields ``(None, [])``.  Given
     a ``size`` R, a window's probability is its unnormalised weight divided
-    by 2R + rN; without one it stays unnormalised.  For the pass only,
-    unnormalised sequence probabilities are memoised by sequence (shared by
-    ppw weights and window probabilities), and ppw tables, or the coverage
-    failures that replace them by multiplicity weights, by occurrence key.
+    by 2R + rN; without one it stays unnormalised.  Unnormalised sequence
+    probabilities, shared by ppw weights and window probabilities, come
+    memoised from :func:`_sequence_weights`.  For the pass only, ppw tables,
+    or the coverage failures that replace them by multiplicity weights, are
+    memoised by occurrence key.
 
     Past one state, a sequence weighs a_{x_0 x_1} + r/N times the steps out
     of its interior states (:func:`sequence_prob`).  A kind observed on
@@ -175,7 +229,7 @@ def _window_pass(windows, provider, cfg: WalkConfig, kind: MotifKind, scheme: st
     is an adjacent pair of weight 1 + r/N, so its ppw weights are its
     multiplicity weights, with no table and no coverage check.
     """
-    prob = functools.cache(functools.partial(sequence_prob, provider, cfg))
+    prob = _sequence_weights(provider, cfg)
     norm = 1.0 if size is None else 2.0 * size + cfg.r * provider.n
     uniform = 1.0 / MULTIPLICITY[kind]
     uniform_only = scheme == "multiplicity" or scheme == "ppw" and OBSERVATION_ORDER[kind] == 1
@@ -206,6 +260,32 @@ def _window_pass(windows, provider, cfg: WalkConfig, kind: MotifKind, scheme: st
             yield prob(window) / norm, [(value, ppw(key, window)) for key, value in zip(keys, values)]
 
 
+def _sequence_weights(provider, cfg: WalkConfig):
+    """``sequence -> sequence_prob(provider, cfg, sequence)``, memoised.
+
+    A sequence that lies in the provider's seed sample is kept on the graph,
+    once per (r, w).  A trace pass asks only for revealing windows and
+    equivalent sequences, all of adjacent states, so at most N are kept for
+    q = 0, 2R for q = 1 and sum d(d - 1) for q = 2.
+    Its weight then reads only observed degrees and adjacency, so it is
+    handed back only to a provider whose seed sample holds it too.  Any
+    other sequence, such as a ppw table's sequence whose end states the walk
+    did not visit, is read through the audited view and kept for the pass only.
+    """
+    memo = provider.derived(("window-weights", cfg.r, cfg.w), dict)
+    observed = _observes(provider)
+    local: dict = {}
+
+    def prob(seq) -> float:
+        store = memo if observed is None or observed(seq) else local
+        p = store.get(seq)
+        if p is None:
+            p = store[seq] = sequence_prob(provider, cfg, seq)
+        return p
+
+    return prob
+
+
 def _reveal(provider, kind: MotifKind, value_mode: str):
     """``window -> (window, keys, values)``: what the detection rule reveals on a window.
 
@@ -220,7 +300,7 @@ def _reveal(provider, kind: MotifKind, value_mode: str):
     audited reads, as it does on a miss.
     """
     memo = provider.derived(("reveals", kind, value_mode), dict)
-    observed = provider.seed.issuperset if isinstance(provider, SampleGraph) else None
+    observed = _observes(provider)
 
     def reveal(window):
         entry = memo.get(window)
@@ -310,13 +390,16 @@ def estimate_total(
     """
     values: list[float] = []
     flags: list[int] = []
+    total = 0.0  # a left fold: builtin sum is compensated from Python 3.12 on
     for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, value_mode, ppw_fallback,
                                  size):
-        values.append(0.0 if pi is None else _window_value(pi, pairs))
+        value = 0.0 if pi is None else _window_value(pi, pairs)
+        values.append(value)
         flags.append(0 if pi is None else 1)
+        total += value
     if sum(flags) == 0:
         raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
-    return TotalEstimate(sum(values) / len(values), tuple(values), tuple(flags), kind, scheme)
+    return TotalEstimate(total / len(values), tuple(values), tuple(flags), kind, scheme)
 
 
 def estimate_ratio(
@@ -341,6 +424,12 @@ def estimate_ratio(
     if kind is MotifKind.NODE and scheme == "multiplicity":
         if not trace.states:
             raise NoObservationsError("trace of length 0 has no window of order 0")
+        terms = _node_terms(provider, cfg.r, trace.states)
+        if terms is not None:
+            for _, inv, y_w, _ in terms:
+                num += y_w
+                den += inv
+            return num / den
         for h in trace.states:
             pi = provider.degree(h) + cfg.r
             num += provider.value(h) / pi

@@ -148,11 +148,16 @@ def make_stepper(g: Graph, cfg: WalkConfig):
     A uniform pick below m is drawn as CPython's ``rng.randrange(m)`` draws
     it, so the streams are those of ``randrange``: ``m.bit_length()`` bits
     from ``rng.getrandbits`` until the value is below m.  The bit lengths of
-    the degrees are one table per graph.
+    the degrees are one table per graph, and the closure is built once per
+    (graph, r, w) and kept on the graph.
     """
+    return g.derived(("stepper", cfg.r, cfg.w), lambda: _stepper(g, cfg.r, cfg.w))
+
+
+def _stepper(g: Graph, r: float, w: float):
+    """The closure of :func:`make_stepper`; it holds the graph's tables, not the graph."""
     n = g.n
     n_bits = n.bit_length()
-    r, w = cfg.r, cfg.w
     nbrs = g.neighbor_lists
     adj = g._adj
     degs = g.degrees

@@ -280,6 +280,8 @@ def _ppw_weights(provider, kind, nodes, center, prob) -> dict[tuple[int, ...], f
             f"ppw needs every equivalent sequence of {set(nodes)} "
             f"inside the seed sample: {exc}"
         ) from exc
-    total = sum(probs.values())
+    total = 0.0  # a left fold: builtin sum is compensated from Python 3.12 on
+    for p in probs.values():
+        total += p
     return {s: p / total for s, p in probs.items()}
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 
 from lagwalk import (
+    CollisionStat,
     ConfigError,
     Es3CoverageError,
     Graph,
@@ -396,7 +398,9 @@ def reference_weights(provider, cfg, obs, scheme):
                 f"ppw needs every equivalent sequence of {set(obs.occurrence.nodes)} "
                 f"inside the seed sample: {exc}"
             ) from exc
-        total = sum(probs.values())
+        total = 0.0  # a left fold, as builtin sum gives it before Python 3.12
+        for p in probs.values():
+            total += p
         return {s: p / total for s, p in probs.items()}
     raise ConfigError(f"unknown weight scheme {scheme!r}")
 
@@ -446,7 +450,10 @@ def reference_total(trace, provider, cfg, kind, scheme="multiplicity", value_mod
         flags.append(ind)
     if sum(flags) == 0:
         raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
-    return TotalEstimate(sum(values) / len(values), tuple(values), tuple(flags), kind, scheme)
+    total = 0.0  # a left fold, as builtin sum gives it before Python 3.12
+    for value in values:
+        total += value
+    return TotalEstimate(total / len(values), tuple(values), tuple(flags), kind, scheme)
 
 
 def reference_ratio(trace, provider, cfg, kind, scheme="multiplicity", ppw_fallback=False):
@@ -465,6 +472,48 @@ def reference_ratio(trace, provider, cfg, kind, scheme="multiplicity", ppw_fallb
     if informative == 0:
         raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
     return num / den
+
+
+# The node-term estimators as they read every degree and value through the
+# provider, before their terms were kept on the graph; kept verbatim as the
+# bit-for-bit references.
+
+def reference_node_ratio(trace, provider, cfg):
+    """The node ratio sum y/(d + r) over sum 1/(d + r), off the trace."""
+    num = 0.0
+    den = 0.0
+    if not trace.states:
+        raise NoObservationsError("trace of length 0 has no window of order 0")
+    for h in trace.states:
+        pi = provider.degree(h) + cfg.r
+        num += provider.value(h) / pi
+        den += 1.0 / pi
+    return num / den
+
+
+def reference_weighted_mean_degree(traces, providers, r):
+    if not any(trace.states for trace in traces):
+        raise ConfigError("weighted mean degree needs at least one state")
+    num = 0.0
+    den = 0.0
+    for trace, provider in zip(traces, providers, strict=True):
+        for h in trace.states:
+            d = provider.degree(h)
+            num += d / (d + r)
+            den += 1.0 / (d + r)
+    return num / den
+
+
+def reference_count_collisions(trace_x, trace_y, provider, r):
+    xs, ys = trace_x.states, trace_y.states
+    cnt_x = Counter(xs)
+    cnt_y = Counter(ys)
+    m = 0.0
+    for h, cx in cnt_x.items():
+        cy = cnt_y.get(h)
+        if cy:
+            m += cx * cy / (provider.degree(h) + r)
+    return CollisionStat(m=m, n_x=len(xs), n_y=len(ys))
 
 
 # The detection and sequence rules as they were first written, one branch per

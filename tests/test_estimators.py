@@ -1,7 +1,10 @@
 """Size estimators, window/combined totals, ratio parameters and summaries."""
 
+import builtins
 import functools
 import itertools
+import math
+import pickle
 import random
 from dataclasses import replace
 
@@ -37,9 +40,10 @@ from lagwalk import (
     transition_prob,
     weighted_mean_degree,
 )
-from lagwalk import LagwalkError, enumerate_motifs, estimators
+from lagwalk import LagwalkError, enumerate_motifs, estimators, sampling
 from lagwalk.experiments import CampaignConfig, load_graph, run_campaign
 from lagwalk.estimators import _trace_pass, _window_value
+from lagwalk.graph import MotifOccurrence
 from lagwalk.sampling import (
     MULTIPLICITY,
     OBSERVATION_ORDER,
@@ -56,9 +60,12 @@ from helpers import (
     figure_walk_graph,
     path_graph,
     random_graph,
+    reference_count_collisions,
+    reference_node_ratio,
     reference_ratio,
     reference_total,
     reference_total_window,
+    reference_weighted_mean_degree,
     reference_weights,
 )
 
@@ -454,7 +461,8 @@ class TestWindowPass:
 
     def test_size_adds_no_sequence_prob_call(self, monkeypatch):
         """A total's window probability is the memoised unnormalised weight over
-        2R + rN, so a size costs no sequence probability of its own."""
+        2R + rN, so a size costs no sequence probability of its own.  Each
+        size gets a fresh copy of the graph, whose memos start empty."""
         g = random_graph(12, 0.5, seed=3)
         cfg = WalkConfig(r=0.5, w=0.5, walk_length=60, init="uniform")
         trace = run_walk(g, cfg, random.Random(2))
@@ -468,7 +476,8 @@ class TestWindowPass:
         counts = []
         for size in (None, float(g.edge_count)):
             calls.clear()
-            est = estimate_total(trace, g, cfg, MotifKind.TRIANGLE, "ppw", size=size)
+            fresh = pickle.loads(pickle.dumps(g))  # a pickled graph leaves its tables behind
+            est = estimate_total(trace, fresh, cfg, MotifKind.TRIANGLE, "ppw", size=size)
             counts.append(len(calls))
         assert est.n_informative > 0
         assert counts[0] == counts[1] > 0
@@ -489,8 +498,9 @@ def reveal_memo(g, kind, value_mode):
 
 
 class TestRevealMemo:
-    """Detection answers kept on the graph change no estimate and no error,
-    hold only windows of adjacent states, and are audited on every read."""
+    """Detection answers, node terms and window weights kept on the graph
+    change no estimate and no error, are bounded by the graph, and are
+    audited on every read."""
 
     @pytest.mark.parametrize("value_mode", ["product", "ones"])
     @pytest.mark.parametrize("scheme", ["multiplicity", "ppw"])
@@ -508,14 +518,28 @@ class TestRevealMemo:
     )
     def test_warm_memo_matches_reference_exactly(self, data, n, density, kind, scheme, value_mode,
                                                  ppw_fallback, size, r, w, seed):
-        """Many walks on one graph, so later walks read windows earlier ones stored."""
+        """Many walks on one graph, so later walks read windows and node terms
+        earlier ones stored.  The size statistics pair each walk with the one
+        before it, once with matching providers and once with swapped ones."""
         values = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
         g = random_graph(n, density, seed, values=values)
         rng = random.Random(seed)
+        prev = prev_provider = None
         for k in range(8):
             cfg = WalkConfig(r=r, w=w, walk_length=rng.randint(2, 14), init="uniform")
             trace = run_walk(g, cfg, rng)
             provider = build_sample_graph(g, trace) if k % 4 else g
+            assert (_outcome(estimate_ratio, trace, provider, cfg, MotifKind.NODE)
+                    == _outcome(reference_node_ratio, trace, provider, cfg))
+            if prev is not None:
+                for providers in ([provider, prev_provider], [prev_provider, provider]):
+                    args = ([trace, prev], providers, r)
+                    assert (_outcome(weighted_mean_degree, *args)
+                            == _outcome(reference_weighted_mean_degree, *args))
+                    args = (trace, prev, providers[0], r)
+                    assert (_outcome(count_collisions, *args)
+                            == _outcome(reference_count_collisions, *args))
+            prev, prev_provider = trace, provider
             expected = _outcome(reference_total, trace, provider, cfg, kind, scheme, value_mode,
                                 size, ppw_fallback)
             got = _outcome(estimate_total, trace, provider, cfg, kind, scheme, value_mode,
@@ -553,6 +577,66 @@ class TestRevealMemo:
             est = estimate_total(short, provider, cfg, kind)
             assert est.n_informative == 1
 
+    def test_stored_terms_are_audited(self):
+        """A node term or window weight stored from one walk, read through a
+        sample graph whose seed sample lacks one of its states, raises the
+        UnobservedEntryError the unmemoised reads raise."""
+        g = figure_walk_graph()
+        cfg = WalkConfig(r=0.5, w=0.5, walk_length=400, init="uniform")
+        trace = run_walk(g, cfg, random.Random(1))
+        sg = build_sample_graph(g, trace)
+        estimate_ratio(trace, sg, cfg, MotifKind.NODE)
+        for kind in (MotifKind.NODE, MotifKind.THREE_PATH):
+            estimate_total(trace, sg, cfg, kind, "ppw", ppw_fallback=True)
+        terms = g.derived(("node-terms", cfg.r), dict)
+        weights = g.derived(("window-weights", cfg.r, cfg.w), dict)
+        h = trace.states[0]
+        window = next(seq for seq in weights if len(seq) == 3)
+        assert h in terms and (h,) in weights
+
+        def refused(fn, *args):
+            with pytest.raises(UnobservedEntryError) as info:
+                fn(*args)
+            return str(info.value)
+
+        short = make_trace([h, h], g, cfg.r, cfg.w)
+        other = make_trace([h], g, cfg.r, cfg.w)
+        lacking = SampleGraph(g, frozenset(trace.states) - {h})
+        assert (refused(estimate_ratio, short, lacking, cfg, MotifKind.NODE)
+                == refused(reference_node_ratio, short, lacking, cfg))
+        assert (refused(weighted_mean_degree, [short], [lacking], cfg.r)
+                == refused(reference_weighted_mean_degree, [short], [lacking], cfg.r))
+        assert (refused(count_collisions, short, other, lacking, cfg.r)
+                == refused(reference_count_collisions, short, other, lacking, cfg.r))
+        # A window weight: a node's one state, and a 3-path window's interior state.
+        for seq, missing in (((h,), h), (window, window[1])):
+            obs = [MotifObservation(MotifOccurrence(MotifKind.NODE, frozenset(seq), 1.0), seq, 0)]
+            view = SampleGraph(g, frozenset(trace.states) - {missing})
+            assert (refused(estimate_total_window, obs, view, cfg)
+                    == refused(reference_total_window, obs, view, cfg))
+
+    @pytest.mark.parametrize("r", [0, 0.0])
+    def test_zero_weight_state_raises_as_before(self, r):
+        """At r = 0 a degree-0 state raises the ZeroDivisionError the
+        unmemoised reads raise, and no term is stored for it."""
+        g = Graph(3, [(0, 1)], [1.0, 2.0, 3.0])
+        trace = make_trace([0, 1, 2, 0], g, r)
+        cfg = trace.config
+
+        def error(fn, *args):
+            with pytest.raises(ZeroDivisionError) as info:
+                fn(*args)
+            return str(info.value)
+
+        for provider in (g, build_sample_graph(g, trace)):
+            assert (error(estimate_ratio, trace, provider, cfg, MotifKind.NODE)
+                    == error(reference_node_ratio, trace, provider, cfg))
+            assert (error(weighted_mean_degree, [trace], [provider], r)
+                    == error(reference_weighted_mean_degree, [trace], [provider], r))
+            assert (error(count_collisions, trace, trace, provider, r)
+                    == error(reference_count_collisions, trace, trace, provider, r))
+        assert sorted(g.derived(("node-terms", r), dict)) == [0, 1]
+
     def test_campaign_memo_bound(self):
         """After a demo-graph triangle campaign at most 2R windows are stored
         for each value mode, each a pair of adjacent states."""
@@ -570,6 +654,31 @@ class TestRevealMemo:
                 assert stored == window
                 assert all(graph.has_edge(a, b) for a, b in zip(window, window[1:]))
                 assert len(keys) == len(values)
+
+    def test_campaign_weight_memo_bound(self):
+        """After a demo-graph prevalence and triangle motif-total campaign, at most
+        N node terms are kept per r and at most 2R window weights per (r, w), each
+        the value the unmemoised reads give."""
+        graph = load_graph(CampaignConfig(experiment="prevalence"))
+        r_values, w_values = (0.1, 6.0), (1.0, 0.01)
+        run_campaign(CampaignConfig(experiment="prevalence", lengths=(50,), r_values=r_values,
+                                    w_values=w_values, replicates=20), graph)
+        run_campaign(CampaignConfig(experiment="motif-total", weights="ppw", lengths=(50,),
+                                    r_values=r_values, w_values=w_values, replicates=20,
+                                    replicates_ratio=20), graph)
+        for r in r_values:
+            terms = graph.derived(("node-terms", r), dict)
+            assert 0 < len(terms) <= graph.n
+            for h, stored in terms.items():
+                d = graph.degree(h)
+                assert stored == (d + r, 1.0 / (d + r), graph.value(h) / (d + r), d / (d + r))
+            for w in w_values:
+                weights = graph.derived(("window-weights", r, w), dict)
+                assert 0 < len(weights) <= 2 * graph.edge_count
+                cfg = WalkConfig(r=r, w=w)
+                for seq, stored in weights.items():
+                    assert len(seq) == 2 and graph.has_edge(*seq)
+                    assert stored == sequence_prob(graph, cfg, seq)
 
 
 def window_mean(trace, provider, cfg, kind, scheme, size):
@@ -603,6 +712,32 @@ class TestExactOracle:
         assert min(truth) > 0
         np.testing.assert_allclose(got, truth, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("seed", [0, 21, 25])
+    @pytest.mark.parametrize("r, w", [(0.7, 0.3), (0.2, 1.0), (3.0, 0.0)])
+    def test_ratios_match_references_on_every_walk(self, seed, r, w):
+        """The node ratio, weighted mean degree and collision count equal their
+        unmemoised references bit for bit on every walk, each paired with the
+        walk enumerated before it; the second enumeration reads warm memos."""
+        g = random_graph(6, 0.55, seed, values=[1.0, 2.0, 0.5, 1.0, 3.0, 1.5])
+        cfg = WalkConfig(r=r, w=w, walk_length=3)
+        previous = []
+
+        def check(trace, sg):
+            prev, prev_sg = previous.pop() if previous else (trace, sg)
+            assert (estimate_ratio(trace, sg, cfg, MotifKind.NODE)
+                    == reference_node_ratio(trace, sg, cfg))
+            args = ([trace, prev], [sg, prev_sg], r)
+            assert weighted_mean_degree(*args) == reference_weighted_mean_degree(*args)
+            args = (trace, prev, sg, r)
+            assert count_collisions(*args) == reference_count_collisions(*args)
+            previous.append((trace, sg))
+            return 1.0
+
+        for _ in range(2):
+            previous.clear()
+            assert exact_expectation(g, cfg, check) == pytest.approx(1.0, rel=1e-12)
+        assert len(g.derived(("node-terms", r), dict)) == g.n
+
     def test_walk_law_sums_to_one(self):
         g = random_graph(6, 0.55, 25)
         cfg = WalkConfig(r=0.7, w=0.3, walk_length=3)
@@ -611,6 +746,48 @@ class TestExactOracle:
         for t in (0, 3):
             marginal = exact_expectation(g, cfg, lambda trace, sg: np.eye(g.n)[trace.states[t]])
             np.testing.assert_allclose(marginal, stationary_node(g, cfg), rtol=1e-13)
+
+
+def _compensated_sum(items, start=0):
+    """Builtin sum as Python 3.12 and later compute it over floats: Neumaier
+    compensated summation.  Anything else is summed as before."""
+    items = list(items)
+    if not all(isinstance(x, float) for x in items):
+        return builtins.sum(items, start)
+    total = float(start)
+    c = 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+class TestFloatSums:
+    """Totals and ppw normalisers are left folds, so they do not depend on
+    the Python version's builtin sum."""
+
+    def test_compensated_builtin_sum_changes_nothing(self, monkeypatch):
+        assert _compensated_sum([0.1] * 10) == 1.0 != builtins.sum([0.1] * 10)
+        g = random_graph(12, 0.5, seed=3, values=[0.3, 1.0, 2.5, 0.7] * 3)
+        cfg = WalkConfig(r=0.3, w=0.4, walk_length=200, init="uniform")
+        traces = [run_walk(g, cfg, random.Random(seed)) for seed in range(4)]
+
+        def results():
+            out = []
+            for trace in traces:
+                sg = build_sample_graph(g, trace)
+                for kind in MotifKind:
+                    out.append(_outcome(estimate_total, trace, sg, cfg, kind, "ppw",
+                                        size=float(g.edge_count), ppw_fallback=True))
+                    out.append(_outcome(estimate_ratio, trace, sg, cfg, kind, "ppw",
+                                        ppw_fallback=True))
+            return out
+
+        plain = results()
+        for module in (estimators, sampling):
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+        assert results() == plain
 
 
 class TestReplicateSummary:

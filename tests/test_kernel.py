@@ -269,6 +269,18 @@ class TestStep:
             with pytest.raises(NonErgodicError):
                 make_stepper(g, WalkConfig(r=0.0))(2, 2, steps, random.Random(0))
 
+    def test_stepper_is_kept_per_r_and_w(self, path5):
+        """One closure per (graph, r, w), whatever the walk length or start
+        mode; a pickled copy of the graph builds its own."""
+        cfg = WalkConfig(r=1.0, w=0.3, walk_length=4)
+        walk = make_stepper(path5, cfg)
+        assert make_stepper(path5, WalkConfig(r=1.0, w=0.3, walk_length=9, init="uniform")) is walk
+        assert make_stepper(path5, WalkConfig(r=1.0, w=0.5)) is not walk
+        assert make_stepper(path5, WalkConfig(r=2.0, w=0.3)) is not walk
+        copy = pickle.loads(pickle.dumps(path5))
+        assert make_stepper(copy, cfg) is not walk
+        assert make_stepper(copy, cfg)(0, 1, 30, random.Random(3)) == walk(0, 1, 30, random.Random(3))
+
 
 class TestPairChain:
     @pytest.mark.parametrize("seed", range(20))
