@@ -17,13 +17,18 @@ constant, so it needs no size estimate.
 
 What the estimators read through a walk's audited sample view is kept on
 the graph (:meth:`Graph.derived`), bounded by the graph, not by the walks:
-each node's terms d + r, 1/(d + r), y/(d + r) and d/(d + r) per r, each
-window's unnormalised probability per (r, w), and what the detection rule
-reveals on a window per kind and value mode.  A kept entry is read back
-only where the view's seed sample holds every state it was read from;
-elsewhere the audited reads run, so every value and error is the one the
-view gives.  Float sums are left folds in a fixed order, never builtin
-``sum``, which is compensated from Python 3.12 on.
+each node's terms d + r, 1/(d + r), y/(d + r) and d/(d + r) per r; what the
+detection rule reveals on a window per kind and value mode; and, wherever
+the weights are window-local (every kind under multiplicity weights, and
+under ppw all but edges and 4-cycles), one window table per (kind, scheme,
+value mode, r, w) holding each window's unnormalised probability, values
+and weights.  The audit runs once per trace: a kept entry is read back only
+for a trace whose states the view's seed sample holds, which covers every
+window read in it.  Elsewhere, and for edge and 4-cycle ppw, whose weights
+depend on the whole trace, the audited reads run window by window, so
+every value and error is the one the view gives.  Float sums are left
+folds in a fixed order, never builtin ``sum``, which is compensated from
+Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -75,21 +80,13 @@ class SizeEstimate:
 
 @dataclass(frozen=True)
 class TotalEstimate:
-    """Combined total with per-window values and revealing indicators."""
+    """Combined total, with the trace's window count and how many revealed anything."""
 
     theta_hat: float
-    window_values: tuple[float, ...]
-    indicators: tuple[int, ...]
+    n_windows: int
+    n_informative: int
     kind: MotifKind
     scheme: str
-
-    @property
-    def n_windows(self) -> int:
-        return len(self.window_values)
-
-    @property
-    def n_informative(self) -> int:
-        return sum(self.indicators)
 
 
 @dataclass(frozen=True)
@@ -210,18 +207,21 @@ def estimate_size_grcr(stat: CollisionStat, d_bar_w: float, r: float) -> SizeEst
     return SizeEstimate("grcr", r_hat, n_hat=n_hat, d_bar_w=d_bar_w, negative=r_hat < 0)
 
 
-def _window_pass(windows, provider, cfg: WalkConfig, kind: MotifKind, scheme: str,
-                 ppw_fallback: bool, size: float | None = None):
-    """``(pi, [(value, weight), ...])`` for each ``(window, keys, values)`` of ``windows``.
+# A window that reveals nothing: no probability, values or weights.
+_NOTHING = (None, (), ())
 
-    ``keys`` are the occurrence keys the window reveals and ``values`` their
-    values, in the same order; an empty window yields ``(None, [])``.  Given
-    a ``size`` R, a window's probability is its unnormalised weight divided
-    by 2R + rN; without one it stays unnormalised.  Unnormalised sequence
-    probabilities, shared by ppw weights and window probabilities, come
-    memoised from :func:`_sequence_weights`.  For the pass only, ppw tables,
-    or the coverage failures that replace them by multiplicity weights, are
-    memoised by occurrence key.
+# Kinds whose ppw weights read a state that no revealing window holds (an
+# edge's other end, a 4-cycle's fourth node), so they depend on what the
+# whole trace visited and fall back on multiplicity weights without it.
+_TRACE_WIDE_PPW = frozenset({MotifKind.EDGE, MotifKind.FOUR_CYCLE})
+
+
+def _weight_rule(provider, kind: MotifKind, scheme: str, ppw_fallback: bool, prob):
+    """``(window, key) -> weight``: a revealed occurrence's incidence weight on the window.
+
+    ``prob`` gives a sequence's unnormalised probability.  For the rule's
+    life, ppw tables, or the coverage failures that replace them by
+    multiplicity weights, are memoised by occurrence key.
 
     Past one state, a sequence weighs a_{x_0 x_1} + r/N times the steps out
     of its interior states (:func:`sequence_prob`).  A kind observed on
@@ -229,14 +229,13 @@ def _window_pass(windows, provider, cfg: WalkConfig, kind: MotifKind, scheme: st
     is an adjacent pair of weight 1 + r/N, so its ppw weights are its
     multiplicity weights, with no table and no coverage check.
     """
-    prob = _sequence_weights(provider, cfg)
-    norm = 1.0 if size is None else 2.0 * size + cfg.r * provider.n
     uniform = 1.0 / MULTIPLICITY[kind]
-    uniform_only = scheme == "multiplicity" or scheme == "ppw" and OBSERVATION_ORDER[kind] == 1
+    if scheme == "multiplicity" or scheme == "ppw" and OBSERVATION_ORDER[kind] == 1:
+        return lambda window, key: uniform
     tables: dict = {}
 
-    def ppw(key, window) -> float:
-        # Every scheme but multiplicity lands here: an unknown one fails after the first value.
+    def ppw(window, key) -> float:
+        # Every scheme but multiplicity lands here: an unknown one fails at the first key.
         if scheme != "ppw":
             raise ConfigError(f"unknown weight scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
         try:
@@ -251,26 +250,42 @@ def _window_pass(windows, provider, cfg: WalkConfig, kind: MotifKind, scheme: st
             tables[key] = table
         return uniform if table is None else table[window]
 
-    for window, keys, values in windows:
-        if not keys:
-            yield None, []
-        elif uniform_only:
-            yield prob(window) / norm, [(value, uniform) for value in values]
+    return ppw
+
+
+def _window_pass(windows, reveal, provider, cfg: WalkConfig, kind: MotifKind, scheme: str,
+                 ppw_fallback: bool):
+    """``(prob, values, weights)`` for each window, read through the audited view.
+
+    ``reveal`` maps a window to the ``(window, keys, values)`` it reveals, or None.
+    ``prob`` is the window's unnormalised probability, memoised by
+    :func:`_sequence_weights`; a window that reveals nothing yields
+    :data:`_NOTHING`.
+    """
+    prob = _sequence_weights(provider, cfg)
+    weight = _weight_rule(provider, kind, scheme, ppw_fallback, prob)
+    for window in windows:
+        revealed = reveal(window)
+        if revealed is None or not revealed[1]:
+            yield _NOTHING
         else:
-            yield prob(window) / norm, [(value, ppw(key, window)) for key, value in zip(keys, values)]
+            _, keys, values = revealed
+            yield prob(window), values, [weight(window, key) for key in keys]
 
 
 def _sequence_weights(provider, cfg: WalkConfig):
     """``sequence -> sequence_prob(provider, cfg, sequence)``, memoised.
 
-    A sequence that lies in the provider's seed sample is kept on the graph,
-    once per (r, w).  A trace pass asks only for revealing windows and
-    equivalent sequences, all of adjacent states, so at most N are kept for
-    q = 0, 2R for q = 1 and sum d(d - 1) for q = 2.
-    Its weight then reads only observed degrees and adjacency, so it is
-    handed back only to a provider whose seed sample holds it too.  Any
-    other sequence, such as a ppw table's sequence whose end states the walk
-    did not visit, is read through the audited view and kept for the pass only.
+    ppw weights ask it for the equivalent sequences of an occurrence, and a
+    pass that the window tables do not cover (edge and 4-cycle ppw, or a
+    trace the seed sample does not hold) for each revealing window too: all
+    sequences of adjacent states.  A sequence that lies
+    in the provider's seed sample is kept on the graph, once per (r, w): at
+    most N for q = 0, 2R for q = 1 and sum d(d - 1) for q = 2.  Its weight
+    then reads only observed degrees and adjacency, so it is handed back only
+    to a provider whose seed sample holds it too.  Any other sequence, such
+    as a ppw table's sequence whose end states the walk did not visit, is
+    read through the audited view and kept for the pass only.
     """
     memo = provider.derived(("window-weights", cfg.r, cfg.w), dict)
     observed = _observes(provider)
@@ -286,18 +301,23 @@ def _sequence_weights(provider, cfg: WalkConfig):
     return prob
 
 
+def _is_path(provider, window) -> bool:
+    """True for distinct, successively adjacent states, the only windows that reveal anything."""
+    return all(map(provider.has_edge, window, window[1:])) and len(set(window)) == len(window)
+
+
 def _reveal(provider, kind: MotifKind, value_mode: str):
     """``window -> (window, keys, values)``: what the detection rule reveals on a window.
 
-    A window with a jump in it reveals nothing and skips the rule.  The
-    rule's answers on the others are memoised on the graph, once per kind and
-    value mode: at most N windows for q = 0, 2R for q = 1 and sum d(d - 1)
-    for q = 2, and ``MULTIPLICITY[kind]`` keys per occurrence.  A stored
-    answer is handed back only when every state of the window is in the
-    provider's seed sample.  The rule reads only the rows of the window's
-    states and the values of those states and their neighbours, all
-    observable then, so on any other window it runs through the provider's
-    audited reads, as it does on a miss.
+    A window with a jump or a repeated state in it reveals nothing, skips
+    the rule and gives None.  The rule's answers on the others are memoised
+    on the graph, once per kind and value mode: at most N windows for q = 0,
+    2R for q = 1 and sum d(d - 1) for q = 2, and ``MULTIPLICITY[kind]`` keys
+    per occurrence.  A stored answer is handed back only when every state of
+    the window is in the provider's seed sample.  The rule reads only the
+    rows of the window's states and the values of those states and their
+    neighbours, all observable then, so on any other window it runs through
+    the provider's audited reads, as it does on a miss.
     """
     memo = provider.derived(("reveals", kind, value_mode), dict)
     observed = _observes(provider)
@@ -306,8 +326,8 @@ def _reveal(provider, kind: MotifKind, value_mode: str):
         entry = memo.get(window)
         if entry is not None and (observed is None or observed(window)):
             return entry
-        if not all(map(provider.has_edge, window, window[1:])):
-            return window, [], []
+        if not _is_path(provider, window):
+            return None
         keys = _window_occurrences(provider, window, kind)
         values = [motif_value(provider, nodes, value_mode) for _, nodes in keys]
         memo[window] = entry = window, keys, values
@@ -317,22 +337,57 @@ def _reveal(provider, kind: MotifKind, value_mode: str):
 
 
 def _trace_pass(trace: WalkTrace, provider, cfg: WalkConfig, kind: MotifKind, scheme: str,
-                value_mode: str, ppw_fallback: bool, size=None):
-    """:func:`_window_pass` over every window of the trace, each revealed by :func:`_reveal`."""
+                value_mode: str, ppw_fallback: bool):
+    """``(prob, values, weights)`` of every window of the trace, in order.
+
+    ``prob`` is the window's unnormalised probability, ``values`` what it
+    reveals and ``weights`` their incidence weights.  Where the weights are
+    window-local (multiplicity, and ppw but for edges and 4-cycles) and the
+    provider's seed sample holds the whole trace, checked once, each window
+    is one lookup in a table kept on the graph per (kind, scheme, value
+    mode, r, w), w only for q = 2.  A miss runs the audited rule once and
+    stores the entry, unless a jump or a repeated state in the window makes
+    it reveal nothing: at most N entries for q = 0, 2R for q = 1 and
+    sum d(d - 1) for q = 2.  The entry's values are the detection memo's
+    list (:func:`_reveal`), so the rule runs once per window and value mode
+    whatever the (r, w), and its ppw weights read the kept sequence
+    probabilities (:func:`_sequence_weights`).  Every read the rule makes
+    is observable on such a trace, so the entry is the one the audited
+    reads give.  Elsewhere :func:`_window_pass` reads every window through
+    the audited view, so every value and error is the unmemoised one.
+    """
     q = OBSERVATION_ORDER[kind]
     states = trace.states
     if len(states) <= q:
         raise NoObservationsError(f"trace of length {len(states)} has no window of order {q}")
-    windows = (states[t : t + q + 1] for t in range(len(states) - q))
-    return _window_pass(map(_reveal(provider, kind, value_mode), windows),
-                        provider, cfg, kind, scheme, ppw_fallback, size)
+    windows = zip(*(states[k:] for k in range(q + 1)))
+    reveal = _reveal(provider, kind, value_mode)
+    observed = _observes(provider)
+    window_local = scheme == "multiplicity" or scheme == "ppw" and kind not in _TRACE_WIDE_PPW
+    if not window_local or observed is not None and not observed(states):
+        return _window_pass(windows, reveal, provider, cfg, kind, scheme, ppw_fallback)
+    # A window of one or two states weighs the same for every w.
+    table = provider.derived(("window-table", kind, scheme, value_mode, cfg.r,
+                              cfg.w if q > 1 else None), dict)
+    weight = _weight_rule(provider, kind, scheme, ppw_fallback, _sequence_weights(provider, cfg))
+
+    def fill(window):
+        if not _is_path(provider, window):  # a jump window: not stored, nor detected
+            return _NOTHING
+        window, keys, values = reveal(window)  # the detection memo's window, shared as the key
+        if not keys:
+            table[window] = _NOTHING
+            return _NOTHING
+        prob = sequence_prob(provider, cfg, window)
+        entry = table[window] = prob, values, tuple(weight(window, key) for key in keys)
+        return entry
+
+    return [table.get(window) or fill(window) for window in windows]
 
 
-def _window_value(pi: float, pairs) -> float:
-    theta = 0.0
-    for value, w in pairs:
-        theta += w * value / pi
-    return theta
+def _norm(provider, cfg: WalkConfig, size: float | None) -> float:
+    """2R + rN for a given size R, which turns an unnormalised probability into one; else 1."""
+    return 1.0 if size is None else 2.0 * size + cfg.r * provider.n
 
 
 def estimate_total_window(
@@ -356,17 +411,18 @@ def estimate_total_window(
     if not observations:
         return 0.0, 0
     window = observations[0].sequence
-
-    def values():  # checked lazily, so errors keep the order of the observations
-        for obs in observations:
-            if obs.sequence != window:
-                raise ConfigError("estimate_total_window expects observations from one window")
-            yield obs.occurrence.value
-
-    keys = [(obs.occurrence.center, obs.occurrence.nodes) for obs in observations]
-    ((pi, pairs),) = _window_pass([(window, keys, values())], provider, cfg,
-                                  observations[0].occurrence.kind, scheme, ppw_fallback, size)
-    return _window_value(pi, pairs), 1
+    prob = _sequence_weights(provider, cfg)
+    pi = prob(window) / _norm(provider, cfg, size)
+    weight = _weight_rule(provider, observations[0].occurrence.kind, scheme, ppw_fallback, prob)
+    weights = []
+    for obs in observations:  # checked in turn, so errors keep the order of the observations
+        if obs.sequence != window:
+            raise ConfigError("estimate_total_window expects observations from one window")
+        weights.append(weight(window, (obs.occurrence.center, obs.occurrence.nodes)))
+    theta = 0.0
+    for obs, w in zip(observations, weights):
+        theta += w * obs.occurrence.value / pi
+    return theta, 1
 
 
 def estimate_total(
@@ -388,18 +444,22 @@ def estimate_total(
     probability.  A trace whose windows reveal nothing at all raises
     :class:`NoObservationsError`.
     """
-    values: list[float] = []
-    flags: list[int] = []
-    total = 0.0  # a left fold: builtin sum is compensated from Python 3.12 on
-    for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, value_mode, ppw_fallback,
-                                 size):
-        value = 0.0 if pi is None else _window_value(pi, pairs)
-        values.append(value)
-        flags.append(0 if pi is None else 1)
-        total += value
-    if sum(flags) == 0:
+    norm = _norm(provider, cfg, size)
+    total = 0.0  # left folds: builtin sum is compensated from Python 3.12 on
+    n_windows = n_informative = 0
+    for prob, values, weights in _trace_pass(trace, provider, cfg, kind, scheme, value_mode,
+                                             ppw_fallback):
+        n_windows += 1
+        if values:  # a window that reveals nothing adds 0.0, which leaves the fold as it is
+            n_informative += 1
+            pi = prob / norm
+            theta = 0.0
+            for value, w in zip(values, weights):
+                theta += w * value / pi
+            total += theta
+    if n_informative == 0:
         raise NoObservationsError(f"no window of the trace revealed any {kind.value}")
-    return TotalEstimate(total / len(values), tuple(values), tuple(flags), kind, scheme)
+    return TotalEstimate(total / n_windows, n_windows, n_informative, kind, scheme)
 
 
 def estimate_ratio(
@@ -417,7 +477,7 @@ def estimate_ratio(
     node-motif case the classic ratio estimator of a population mean:
     sum y/(d + r) over sum 1/(d + r) along the walk.  Under multiplicity
     weights that case is summed straight off the trace, with the same float
-    operations in the same order as the window pass (weight 1, norm 1).
+    operations in the same order as the window pass (weight 1).
     """
     num = 0.0
     den = 0.0
@@ -436,11 +496,12 @@ def estimate_ratio(
             den += 1.0 / pi
         return num / den
     informative = 0
-    for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, "product", ppw_fallback):
-        if pi is None:
+    for pi, values, weights in _trace_pass(trace, provider, cfg, kind, scheme, "product",
+                                           ppw_fallback):
+        if not values:
             continue
         informative += 1
-        for value, w in pairs:
+        for value, w in zip(values, weights):
             num += w * value / pi
             den += w / pi
     if informative == 0:

@@ -453,7 +453,7 @@ def reference_total(trace, provider, cfg, kind, scheme="multiplicity", value_mod
     total = 0.0  # a left fold, as builtin sum gives it before Python 3.12
     for value in values:
         total += value
-    return TotalEstimate(total / len(values), tuple(values), tuple(flags), kind, scheme)
+    return TotalEstimate(total / len(values), len(values), sum(flags), kind, scheme)
 
 
 def reference_ratio(trace, provider, cfg, kind, scheme="multiplicity", ppw_fallback=False):

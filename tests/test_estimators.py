@@ -42,7 +42,6 @@ from lagwalk import (
 )
 from lagwalk import LagwalkError, enumerate_motifs, estimators, sampling
 from lagwalk.experiments import CampaignConfig, load_graph, run_campaign
-from lagwalk.estimators import _trace_pass, _window_value
 from lagwalk.graph import MotifOccurrence
 from lagwalk.sampling import (
     MULTIPLICITY,
@@ -497,6 +496,26 @@ def reveal_memo(g, kind, value_mode):
     return g.derived(("reveals", kind, value_mode), dict)
 
 
+# Where theory says the total is exact: every multiplicity total, and ppw where
+# an occurrence's weights read only what each of its revealing windows saw.
+# These are the (kind, scheme) pairs whose windows the estimators keep in tables.
+EXACT_TOTALS = [(kind, "multiplicity") for kind in MotifKind] + [
+    (kind, "ppw") for kind in
+    (MotifKind.NODE, MotifKind.TWO_STAR, MotifKind.TRIANGLE, MotifKind.THREE_PATH)]
+
+
+def window_table(g, kind, scheme, value_mode, cfg):
+    """``window -> (prob, values, weights)`` as the estimators keep it on ``g``;
+    a window of one or two states weighs the same for every w."""
+    w = cfg.w if OBSERVATION_ORDER[kind] > 1 else None
+    return g.derived(("window-table", kind, scheme, value_mode, cfg.r, w), dict)
+
+
+def window_tables(g):
+    """Every window table kept on ``g``, by its key."""
+    return {key: table for key, table in g._derived.items() if key[0] == "window-table"}
+
+
 class TestRevealMemo:
     """Detection answers, node terms and window weights kept on the graph
     change no estimate and no error, are bounded by the graph, and are
@@ -577,6 +596,42 @@ class TestRevealMemo:
             est = estimate_total(short, provider, cfg, kind)
             assert est.n_informative == 1
 
+    @pytest.mark.parametrize("kind, scheme", EXACT_TOTALS)
+    def test_stored_table_entry_is_audited(self, kind, scheme):
+        """A window table entry stored from one walk, read through a sample
+        graph whose seed sample lacks a state of the window, gives the
+        UnobservedEntryError the unmemoised reads give.  The full graph and a
+        sample graph holding the window read the entry back."""
+        g = figure_walk_graph()
+        cfg = WalkConfig(r=0.5, w=0.5, walk_length=400, init="uniform")
+        trace = run_walk(g, cfg, random.Random(1))
+        sg = build_sample_graph(g, trace)
+        estimate_total(trace, sg, cfg, kind, scheme)
+        estimate_ratio(trace, sg, cfg, kind, scheme)
+        table = window_table(g, kind, scheme, "product", cfg)
+        window, entry = next((seq, entry) for seq, entry in table.items() if entry[1])
+        short = WalkTrace(window, replace(cfg, walk_length=len(window) - 1), g.n)
+
+        def ratio_reference(trace, provider, cfg, kind, scheme):
+            if (kind, scheme) == (MotifKind.NODE, "multiplicity"):  # summed off the node terms
+                return reference_node_ratio(trace, provider, cfg)
+            return reference_ratio(trace, provider, cfg, kind, scheme)
+
+        pairs = ((estimate_total, reference_total), (estimate_ratio, ratio_reference))
+        for missing in (window[0], window[-1]):
+            lacking = SampleGraph(g, frozenset(window) - {missing})
+            for estimate, reference in pairs:
+                with pytest.raises(UnobservedEntryError) as got:
+                    estimate(short, lacking, cfg, kind, scheme)
+                with pytest.raises(UnobservedEntryError) as expected:
+                    reference(short, lacking, cfg, kind, scheme)
+                assert str(got.value) == str(expected.value)
+        for provider in (g, SampleGraph(g, frozenset(window))):
+            for estimate, reference in pairs:
+                args = (short, provider, cfg, kind, scheme)
+                assert estimate(*args) == reference(*args)
+        assert table[window] is entry
+
     def test_stored_terms_are_audited(self):
         """A node term or window weight stored from one walk, read through a
         sample graph whose seed sample lacks one of its states, raises the
@@ -586,7 +641,7 @@ class TestRevealMemo:
         trace = run_walk(g, cfg, random.Random(1))
         sg = build_sample_graph(g, trace)
         estimate_ratio(trace, sg, cfg, MotifKind.NODE)
-        for kind in (MotifKind.NODE, MotifKind.THREE_PATH):
+        for kind in (MotifKind.EDGE, MotifKind.FOUR_CYCLE):  # ppw that the window tables leave out
             estimate_total(trace, sg, cfg, kind, "ppw", ppw_fallback=True)
         terms = g.derived(("node-terms", cfg.r), dict)
         weights = g.derived(("window-weights", cfg.r, cfg.w), dict)
@@ -655,10 +710,42 @@ class TestRevealMemo:
                 assert all(graph.has_edge(a, b) for a, b in zip(window, window[1:]))
                 assert len(keys) == len(values)
 
+    def test_campaign_table_bound(self):
+        """After demo-graph motif-total campaigns, each window table holds at most
+        N windows for q = 0, 2R for q = 1 and sum d(d - 1) for q = 2, none with a
+        jump or a repeated state, and each entry is what the unmemoised reads
+        give on the full graph."""
+        graph = load_graph(CampaignConfig(experiment="motif-total"))
+        bound = {0: graph.n, 1: 2 * graph.edge_count, 2: sum(d * (d - 1) for d in graph.degrees)}
+        kinds = (MotifKind.NODE, MotifKind.TRIANGLE, MotifKind.THREE_PATH)
+        for kind in kinds:
+            run_campaign(CampaignConfig(experiment="motif-total", motif=kind, weights="ppw",
+                                        lengths=(50,), r_values=(0.1, 6.0), w_values=(1.0, 0.01),
+                                        replicates=10, replicates_ratio=10, max_failure_rate=1.0),
+                         graph)
+        tables = window_tables(graph)
+        assert {key[1] for key in tables} == set(kinds)
+        assert len(tables) == 2 * (2 + 2 + 4)  # value modes times (r, w) cells, w only for q = 2
+        for (_, kind, scheme, value_mode, r, w), table in tables.items():
+            q = OBSERVATION_ORDER[kind]
+            assert 0 < len(table) <= bound[q]
+            cfg = WalkConfig(r=r, w=0.5 if w is None else w)  # windows of q <= 1 do not read w
+            for window, (prob, values, weights) in table.items():
+                assert len(window) == len(set(window)) == q + 1
+                assert all(graph.has_edge(a, b) for a, b in zip(window, window[1:]))
+                trace = WalkTrace(window, replace(cfg, walk_length=q), graph.n)
+                found = detect_observations(trace, graph, kind, value_mode)
+                assert list(values) == [obs.occurrence.value for obs in found]
+                assert list(weights) == [reference_weights(graph, cfg, obs, scheme)[window]
+                                         for obs in found]
+                assert prob == (sequence_prob(graph, cfg, window) if found else None)
+
     def test_campaign_weight_memo_bound(self):
         """After a demo-graph prevalence and triangle motif-total campaign, at most
-        N node terms are kept per r and at most 2R window weights per (r, w), each
-        the value the unmemoised reads give."""
+        N node terms are kept per r and at most 2R window probabilities per
+        (value mode, r), each the value the unmemoised reads give.  The window
+        tables keep the probabilities, and triangle weights read none, so no
+        separate window weight is kept."""
         graph = load_graph(CampaignConfig(experiment="prevalence"))
         r_values, w_values = (0.1, 6.0), (1.0, 0.01)
         run_campaign(CampaignConfig(experiment="prevalence", lengths=(50,), r_values=r_values,
@@ -673,28 +760,25 @@ class TestRevealMemo:
                 d = graph.degree(h)
                 assert stored == (d + r, 1.0 / (d + r), graph.value(h) / (d + r), d / (d + r))
             for w in w_values:
-                weights = graph.derived(("window-weights", r, w), dict)
-                assert 0 < len(weights) <= 2 * graph.edge_count
+                assert not graph.derived(("window-weights", r, w), dict)
                 cfg = WalkConfig(r=r, w=w)
-                for seq, stored in weights.items():
-                    assert len(seq) == 2 and graph.has_edge(*seq)
-                    assert stored == sequence_prob(graph, cfg, seq)
+                for value_mode in ("ones", "product"):
+                    table = window_table(graph, MotifKind.TRIANGLE, "ppw", value_mode, cfg)
+                    assert 0 < len(table) <= 2 * graph.edge_count
+                    for seq, (prob, values, _) in table.items():
+                        assert len(seq) == 2 and graph.has_edge(*seq)
+                        if values:
+                            assert prob == sequence_prob(graph, cfg, seq)
 
 
 def window_mean(trace, provider, cfg, kind, scheme, size):
     """estimate_total's combined value as a campaign computes it (with the ppw
     fallback), and 0 where no window of the trace reveals anything."""
-    values = [0.0 if pi is None else _window_value(pi, pairs)
-              for pi, pairs in _trace_pass(trace, provider, cfg, kind, scheme, "product", True,
-                                           size)]
-    return sum(values) / len(values)
-
-
-# Where theory says the total is exact: every multiplicity total, and ppw where
-# an occurrence's weights read only what each of its revealing windows saw.
-EXACT_TOTALS = [(kind, "multiplicity") for kind in MotifKind] + [
-    (kind, "ppw") for kind in
-    (MotifKind.NODE, MotifKind.TWO_STAR, MotifKind.TRIANGLE, MotifKind.THREE_PATH)]
+    try:
+        return estimate_total(trace, provider, cfg, kind, scheme, "product", size,
+                              ppw_fallback=True).theta_hat
+    except NoObservationsError:
+        return 0.0
 
 
 class TestExactOracle:
@@ -737,6 +821,29 @@ class TestExactOracle:
             previous.clear()
             assert exact_expectation(g, cfg, check) == pytest.approx(1.0, rel=1e-12)
         assert len(g.derived(("node-terms", r), dict)) == g.n
+
+    @pytest.mark.parametrize("seed, r, w", [(0, 0.7, 0.3), (21, 0.2, 1.0), (25, 3.0, 0.0)])
+    def test_tables_match_references_on_every_walk(self, seed, r, w):
+        """Every total and ratio whose windows the estimators keep in tables
+        equals its unmemoised reference bit for bit on every walk, with each
+        walk enumerated twice: the second time reads every window warm."""
+        g = random_graph(6, 0.55, seed, values=[1.0, 2.0, 0.5, 1.0, 3.0, 1.5])
+        cfg = WalkConfig(r=r, w=w, walk_length=3)
+        size = float(g.edge_count)
+
+        def check(trace, sg):
+            for kind, scheme in EXACT_TOTALS:  # a total's values as campaigns take them
+                args = (trace, sg, cfg, kind, scheme, "ones", size)
+                assert _outcome(estimate_total, *args) == _outcome(reference_total, *args)
+                args = (trace, sg, cfg, kind, scheme)
+                assert _outcome(estimate_ratio, *args) == _outcome(reference_ratio, *args)
+            return 1.0
+
+        for _ in range(2):
+            assert exact_expectation(g, cfg, check) == pytest.approx(1.0, rel=1e-12)
+        tables = window_tables(g)  # the node ratio under multiplicity sums node terms instead
+        assert len(tables) == 2 * len(EXACT_TOTALS) - 1
+        assert all(tables.values())
 
     def test_walk_law_sums_to_one(self):
         g = random_graph(6, 0.55, 25)
