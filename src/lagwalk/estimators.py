@@ -16,23 +16,27 @@ windows that reveal something; it cancels the unknown normalisation
 constant, so it needs no size estimate.
 
 What the estimators read through a walk's audited sample view is kept on
-the graph (:meth:`Graph.derived`), bounded by the graph, not by the walks:
-each node's terms d + r, 1/(d + r), y/(d + r) and d/(d + r) per r; what the
-detection rule reveals on a window per kind and value mode; and, wherever
-the weights are window-local (every kind under multiplicity weights, and
-under ppw all but edges and 4-cycles), one window table per (kind, scheme,
-value mode, r, w) holding each window's unnormalised probability, values
-and weights.  The audit runs once per trace: a kept entry is read back only
-for a trace whose states the view's seed sample holds, which covers every
-window read in it.  Elsewhere, and for edge and 4-cycle ppw, whose weights
-depend on the whole trace, the audited reads run window by window, so
-every value and error is the one the view gives.  Float sums are left
-folds in a fixed order, never builtin ``sum``, which is compensated from
-Python 3.12 on.
+the graph (:meth:`Graph.derived`), bounded by the graph, not by the walks,
+and keyed only by what determines it: each node's terms d + r, 1/(d + r),
+y/(d + r) and d/(d + r) per r; the occurrence keys the detection rule
+reveals on a window, per kind; the unnormalised probabilities of ppw's
+equivalent sequences per (r, w); and, wherever the weights are
+window-local (every kind under multiplicity weights, and under ppw all
+but edges and 4-cycles), one window table per (kind, scheme, r, w)
+holding each window's unnormalised probability, product values and
+weights.  The value mode keys none of them: it only decides how a reader
+uses a table entry.  The audit runs once per trace: a kept entry is read
+back only for a trace whose states the view's seed sample holds, which
+covers every window read in it.  Elsewhere, and for edge and 4-cycle ppw,
+whose weights depend on the whole trace, the audited reads run window by
+window with the caller's value mode, so every value and error is the one
+the view gives.  Float sums are left folds in a fixed order, never builtin
+``sum``, which is compensated from Python 3.12 on.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -253,26 +257,6 @@ def _weight_rule(provider, kind: MotifKind, scheme: str, ppw_fallback: bool, pro
     return ppw
 
 
-def _window_pass(windows, reveal, provider, cfg: WalkConfig, kind: MotifKind, scheme: str,
-                 ppw_fallback: bool):
-    """``(prob, values, weights)`` for each window, read through the audited view.
-
-    ``reveal`` maps a window to the ``(window, keys, values)`` it reveals, or None.
-    ``prob`` is the window's unnormalised probability, memoised by
-    :func:`_sequence_weights`; a window that reveals nothing yields
-    :data:`_NOTHING`.
-    """
-    prob = _sequence_weights(provider, cfg)
-    weight = _weight_rule(provider, kind, scheme, ppw_fallback, prob)
-    for window in windows:
-        revealed = reveal(window)
-        if revealed is None or not revealed[1]:
-            yield _NOTHING
-        else:
-            _, keys, values = revealed
-            yield prob(window), values, [weight(window, key) for key in keys]
-
-
 def _sequence_weights(provider, cfg: WalkConfig):
     """``sequence -> sequence_prob(provider, cfg, sequence)``, memoised.
 
@@ -301,36 +285,28 @@ def _sequence_weights(provider, cfg: WalkConfig):
     return prob
 
 
-def _is_path(provider, window) -> bool:
-    """True for distinct, successively adjacent states, the only windows that reveal anything."""
-    return all(map(provider.has_edge, window, window[1:])) and len(set(window)) == len(window)
-
-
-def _reveal(provider, kind: MotifKind, value_mode: str):
-    """``window -> (window, keys, values)``: what the detection rule reveals on a window.
+def _reveal(provider, kind: MotifKind):
+    """``window -> (window, keys)``: the occurrence keys the detection rule reveals on a window.
 
     A window with a jump or a repeated state in it reveals nothing, skips
     the rule and gives None.  The rule's answers on the others are memoised
-    on the graph, once per kind and value mode: at most N windows for q = 0,
-    2R for q = 1 and sum d(d - 1) for q = 2, and ``MULTIPLICITY[kind]`` keys
-    per occurrence.  A stored answer is handed back only when every state of
-    the window is in the provider's seed sample.  The rule reads only the
-    rows of the window's states and the values of those states and their
-    neighbours, all observable then, so on any other window it runs through
-    the provider's audited reads, as it does on a miss.
+    on the graph, once per kind: at most N windows for q = 0, 2R for q = 1
+    and sum d(d - 1) for q = 2, and ``MULTIPLICITY[kind]`` keys per
+    occurrence.  A stored answer is handed back only when every state of the
+    window is in the provider's seed sample.  The rule reads only the rows
+    of the window's states, all observable then, so on any other window it
+    runs through the provider's audited reads, as it does on a miss.
     """
-    memo = provider.derived(("reveals", kind, value_mode), dict)
+    memo = provider.derived(("reveals", kind), dict)
     observed = _observes(provider)
 
     def reveal(window):
         entry = memo.get(window)
         if entry is not None and (observed is None or observed(window)):
             return entry
-        if not _is_path(provider, window):
-            return None
-        keys = _window_occurrences(provider, window, kind)
-        values = [motif_value(provider, nodes, value_mode) for _, nodes in keys]
-        memo[window] = entry = window, keys, values
+        if not all(map(provider.has_edge, window, window[1:])) or len(set(window)) < len(window):
+            return None  # only distinct, successively adjacent states reveal anything
+        memo[window] = entry = window, _window_occurrences(provider, window, kind)
         return entry
 
     return reveal
@@ -340,49 +316,63 @@ def _trace_pass(trace: WalkTrace, provider, cfg: WalkConfig, kind: MotifKind, sc
                 value_mode: str, ppw_fallback: bool):
     """``(prob, values, weights)`` of every window of the trace, in order.
 
-    ``prob`` is the window's unnormalised probability, ``values`` what it
-    reveals and ``weights`` their incidence weights.  Where the weights are
-    window-local (multiplicity, and ppw but for edges and 4-cycles) and the
-    provider's seed sample holds the whole trace, checked once, each window
-    is one lookup in a table kept on the graph per (kind, scheme, value
-    mode, r, w), w only for q = 2.  A miss runs the audited rule once and
-    stores the entry, unless a jump or a repeated state in the window makes
-    it reveal nothing: at most N entries for q = 0, 2R for q = 1 and
-    sum d(d - 1) for q = 2.  The entry's values are the detection memo's
-    list (:func:`_reveal`), so the rule runs once per window and value mode
-    whatever the (r, w), and its ppw weights read the kept sequence
-    probabilities (:func:`_sequence_weights`).  Every read the rule makes
-    is observable on such a trace, so the entry is the one the audited
-    reads give.  Elsewhere :func:`_window_pass` reads every window through
-    the audited view, so every value and error is the unmemoised one.
+    ``prob`` is the window's unnormalised probability, ``values`` the values
+    of the occurrences it reveals and ``weights`` their incidence weights; a
+    window that reveals nothing gives :data:`_NOTHING`.  One entry rule
+    gives them: the detection memo's keys (:func:`_reveal`), each key's
+    :func:`motif_value`, the window's :func:`sequence_prob` and the weights.
+
+    Where the weights are window-local (multiplicity, and ppw but for edges
+    and 4-cycles) and the provider's seed sample holds the whole trace,
+    checked once, each window is one lookup in a table kept on the graph per
+    (kind, scheme, r, w), w only for q = 2.  Its values are products of node
+    values whatever the caller's value mode, which only decides how a reader
+    uses them: a ``"ones"`` reader takes 1 for each.  A miss runs the rule
+    once and stores the entry, unless a jump or a repeated state in the
+    window makes it reveal nothing: at most N entries for q = 0, 2R for
+    q = 1 and sum d(d - 1) for q = 2.  Every read the rule makes is
+    observable on such a trace, so the entry is the one the audited reads
+    give, and its ppw weights read the kept sequence probabilities
+    (:func:`_sequence_weights`).  Elsewhere, and for a value mode other than
+    those two, the rule reads every window through the audited view with the
+    caller's value mode, one window at a time, so every value and error is
+    the unmemoised one, in the same order.
     """
     q = OBSERVATION_ORDER[kind]
     states = trace.states
     if len(states) <= q:
         raise NoObservationsError(f"trace of length {len(states)} has no window of order {q}")
     windows = zip(*(states[k:] for k in range(q + 1)))
-    reveal = _reveal(provider, kind, value_mode)
     observed = _observes(provider)
     window_local = scheme == "multiplicity" or scheme == "ppw" and kind not in _TRACE_WIDE_PPW
-    if not window_local or observed is not None and not observed(states):
-        return _window_pass(windows, reveal, provider, cfg, kind, scheme, ppw_fallback)
-    # A window of one or two states weighs the same for every w.
-    table = provider.derived(("window-table", kind, scheme, value_mode, cfg.r,
-                              cfg.w if q > 1 else None), dict)
-    weight = _weight_rule(provider, kind, scheme, ppw_fallback, _sequence_weights(provider, cfg))
+    reveal = _reveal(provider, kind)
+    window_prob = _sequence_weights(provider, cfg)
+    weight = _weight_rule(provider, kind, scheme, ppw_fallback, window_prob)
+    table, mode = None, value_mode
+    if (window_local and value_mode in ("ones", "product")
+            and (observed is None or observed(states))):
+        # A window of one or two states weighs the same for every w.
+        table = provider.derived(("window-table", kind, scheme, cfg.r,
+                                  cfg.w if q > 1 else None), dict)
+        # The table keeps each window's probability, so the sequence memo need not.
+        mode, window_prob = "product", functools.partial(sequence_prob, provider, cfg)
 
-    def fill(window):
-        if not _is_path(provider, window):  # a jump window: not stored, nor detected
+    def entry(window):
+        revealed = reveal(window)
+        if revealed is None:  # a jump window: not stored, nor detected
             return _NOTHING
-        window, keys, values = reveal(window)  # the detection memo's window, shared as the key
-        if not keys:
-            table[window] = _NOTHING
-            return _NOTHING
-        prob = sequence_prob(provider, cfg, window)
-        entry = table[window] = prob, values, tuple(weight(window, key) for key in keys)
-        return entry
+        window, keys = revealed  # the detection memo's window, shared as the key
+        found = _NOTHING
+        if keys:
+            values = [motif_value(provider, nodes, mode) for _, nodes in keys]
+            found = window_prob(window), values, [weight(window, key) for key in keys]
+        if table is not None:
+            table[window] = found
+        return found
 
-    return [table.get(window) or fill(window) for window in windows]
+    if table is None:
+        return map(entry, windows)
+    return [table.get(window) or entry(window) for window in windows]
 
 
 def _norm(provider, cfg: WalkConfig, size: float | None) -> float:
@@ -410,14 +400,16 @@ def estimate_total_window(
     """
     if not observations:
         return 0.0, 0
-    window = observations[0].sequence
+    window, kind = observations[0].sequence, observations[0].occurrence.kind
     prob = _sequence_weights(provider, cfg)
     pi = prob(window) / _norm(provider, cfg, size)
-    weight = _weight_rule(provider, observations[0].occurrence.kind, scheme, ppw_fallback, prob)
+    weight = _weight_rule(provider, kind, scheme, ppw_fallback, prob)
     weights = []
     for obs in observations:  # checked in turn, so errors keep the order of the observations
         if obs.sequence != window:
             raise ConfigError("estimate_total_window expects observations from one window")
+        if obs.occurrence.kind is not kind:
+            raise ConfigError("estimate_total_window expects observations of one kind")
         weights.append(weight(window, (obs.occurrence.center, obs.occurrence.nodes)))
     theta = 0.0
     for obs, w in zip(observations, weights):
@@ -445,6 +437,7 @@ def estimate_total(
     :class:`NoObservationsError`.
     """
     norm = _norm(provider, cfg, size)
+    ones = value_mode == "ones"  # the tables keep product values; a count takes 1 for each
     total = 0.0  # left folds: builtin sum is compensated from Python 3.12 on
     n_windows = n_informative = 0
     for prob, values, weights in _trace_pass(trace, provider, cfg, kind, scheme, value_mode,
@@ -455,7 +448,7 @@ def estimate_total(
             pi = prob / norm
             theta = 0.0
             for value, w in zip(values, weights):
-                theta += w * value / pi
+                theta += w * (1.0 if ones else value) / pi
             total += theta
     if n_informative == 0:
         raise NoObservationsError(f"no window of the trace revealed any {kind.value}")

@@ -170,6 +170,8 @@ def generate_case_graph(
     chosen by how many of the two endpoints are cases.  Deterministic for a
     fixed seed.  Refuses more than ``MAX_GENERATED_PAIRS`` pairs.
     """
+    if n_nodes < 1:
+        raise ConfigError(f"n_nodes={n_nodes} must be at least 1")
     if not 0 <= n_cases <= n_nodes:
         raise ConfigError(f"n_cases={n_cases} outside [0, {n_nodes}]")
     for name, p in [

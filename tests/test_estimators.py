@@ -50,10 +50,12 @@ from lagwalk.sampling import (
     SampleGraph,
     detect_observations,
     _ppw_weights,
+    _window_occurrences,
     equivalent_sequences,
 )
 from helpers import (
     brute_force_total,
+    complete_graph,
     cycle_graph,
     exact_expectation,
     figure_walk_graph,
@@ -249,6 +251,20 @@ class TestWindowEstimator:
         o2 = detect_observations(t2, k3, MotifKind.TRIANGLE, "ones")
         with pytest.raises(ConfigError):
             estimate_total_window(o1 + o2, k3, cfg, size=3)
+
+    def test_rejects_mixed_kinds(self):
+        """The node and edge observations of one window raise in either order,
+        and each observation is checked for its window before its kind."""
+        g = complete_graph(4, values=[1, 2, 3, 4])
+        cfg = WalkConfig(r=1.0, w=1.0)
+        node, edge, other = (detect_observations(make_trace([h], g), g, kind)
+                             for h, kind in ((0, MotifKind.NODE), (0, MotifKind.EDGE),
+                                             (1, MotifKind.NODE)))
+        for obs in (node + edge, edge + node, node + edge + other):
+            with pytest.raises(ConfigError, match="expects observations of one kind"):
+                estimate_total_window(obs, g, cfg, size=6.0)
+        with pytest.raises(ConfigError, match="expects observations from one window"):
+            estimate_total_window(node + other + edge, g, cfg, size=6.0)
 
 
 class TestCombinedEstimator:
@@ -491,9 +507,9 @@ class TestWindowPass:
             assert len(equivalent_sequences(g, obs)) == MULTIPLICITY[kind]
 
 
-def reveal_memo(g, kind, value_mode):
+def reveal_memo(g, kind):
     """The windows whose detection the estimators keep on ``g``."""
-    return g.derived(("reveals", kind, value_mode), dict)
+    return g.derived(("reveals", kind), dict)
 
 
 # Where theory says the total is exact: every multiplicity total, and ppw where
@@ -504,11 +520,11 @@ EXACT_TOTALS = [(kind, "multiplicity") for kind in MotifKind] + [
     (MotifKind.NODE, MotifKind.TWO_STAR, MotifKind.TRIANGLE, MotifKind.THREE_PATH)]
 
 
-def window_table(g, kind, scheme, value_mode, cfg):
-    """``window -> (prob, values, weights)`` as the estimators keep it on ``g``;
-    a window of one or two states weighs the same for every w."""
+def window_table(g, kind, scheme, cfg):
+    """``window -> (prob, product values, weights)`` as the estimators keep it
+    on ``g``; a window of one or two states weighs the same for every w."""
     w = cfg.w if OBSERVATION_ORDER[kind] > 1 else None
-    return g.derived(("window-table", kind, scheme, value_mode, cfg.r, w), dict)
+    return g.derived(("window-table", kind, scheme, cfg.r, w), dict)
 
 
 def window_tables(g):
@@ -576,6 +592,59 @@ class TestRevealMemo:
                 assert (_outcome(estimate_total_window, *args)
                         == _outcome(reference_total_window, *args))
 
+    @pytest.mark.parametrize("first", ["product", "ones"])
+    @pytest.mark.parametrize("kind, scheme", EXACT_TOTALS)
+    def test_value_modes_share_memo_and_tables(self, monkeypatch, kind, scheme, first):
+        """What one value mode's estimator keeps, the other reads: once
+        "product" ratios have run on a set of traces, "ones" totals on the
+        same traces run no detection rule and no sequence probability, and
+        equal their references bit for bit; and the other way round."""
+        g = figure_walk_graph()
+        cfg = WalkConfig(r=0.5, w=0.5, walk_length=60, init="uniform")
+        rng = random.Random(4)
+        walks = [(trace, provider) for trace in (run_walk(g, cfg, rng) for _ in range(4))
+                 for provider in (build_sample_graph(g, trace), g)]
+        size = float(g.edge_count)
+        ones = [functools.partial(f, value_mode="ones", size=size)
+                for f in (estimate_total, reference_total)]
+        ratio = product = [estimate_ratio, reference_ratio]
+        if (kind, scheme) == (MotifKind.NODE, "multiplicity"):  # its ratio sums node terms
+            product = [functools.partial(f, value_mode="product", size=size)
+                       for f in (estimate_total, reference_total)]
+        (fill, _), (estimate, reference) = (product, ones) if first == "product" else (ones, ratio)
+        for trace, provider in walks:
+            fill(trace, provider, cfg, kind, scheme)
+
+        def refuse(*args):
+            raise AssertionError("a kept entry was computed again")
+
+        monkeypatch.setattr(estimators, "_window_occurrences", refuse)
+        monkeypatch.setattr(estimators, "sequence_prob", refuse)
+        for trace, provider in walks:
+            args = (trace, provider, cfg, kind, scheme)
+            assert estimate(*args) == reference(*args)
+
+    @pytest.mark.parametrize("scheme", ["multiplicity", "ppw"])
+    def test_unknown_value_mode_raises_as_before(self, scheme):
+        """An unknown value mode raises the unmemoised ConfigError through the
+        window table (edge multiplicity) and the audited pass (edge ppw), on a
+        cold graph and on one whose memo and table a "product" total filled.
+        On a trace that reveals nothing, NoObservationsError comes first."""
+        g = figure_walk_graph()
+        cfg = WalkConfig(r=0.5, w=0.5, walk_length=30, init="uniform")
+        trace = run_walk(g, cfg, random.Random(1))
+        sg = build_sample_graph(g, trace)
+        for _ in range(2):
+            args = (trace, sg, cfg, MotifKind.EDGE, scheme, "x", None, True)
+            assert (_outcome(estimate_total, *args) == _outcome(reference_total, *args)
+                    == (ConfigError, "unknown value mode 'x'"))
+            estimate_total(trace, sg, cfg, MotifKind.EDGE, scheme, "product", None, True)
+        lonely = Graph(3, [(0, 1)], [1.0, 2.0, 3.0])
+        trace = make_trace([2, 2], lonely)
+        args = (trace, build_sample_graph(lonely, trace), trace.config, MotifKind.EDGE, scheme, "x")
+        assert (_outcome(estimate_total, *args) == _outcome(reference_total, *args)
+                == (NoObservationsError, "no window of the trace revealed any edge"))
+
     @pytest.mark.parametrize("kind", list(MotifKind))
     def test_stored_window_is_audited(self, kind):
         """A window stored from one walk, read through a sample graph whose
@@ -584,7 +653,7 @@ class TestRevealMemo:
         cfg = WalkConfig(r=0.5, w=0.5, walk_length=400, init="uniform")
         trace = run_walk(g, cfg, random.Random(1))
         estimate_total(trace, build_sample_graph(g, trace), cfg, kind)
-        window, keys, _ = next(e for e in reveal_memo(g, kind, "product").values() if e[1])
+        window, keys = next(e for e in reveal_memo(g, kind).values() if e[1])
         short = WalkTrace(window, replace(cfg, walk_length=len(window) - 1), g.n)
         sg = SampleGraph(g, frozenset(window[:-1]))
         assert window[-1] not in sg.seed
@@ -608,7 +677,7 @@ class TestRevealMemo:
         sg = build_sample_graph(g, trace)
         estimate_total(trace, sg, cfg, kind, scheme)
         estimate_ratio(trace, sg, cfg, kind, scheme)
-        table = window_table(g, kind, scheme, "product", cfg)
+        table = window_table(g, kind, scheme, cfg)
         window, entry = next((seq, entry) for seq, entry in table.items() if entry[1])
         short = WalkTrace(window, replace(cfg, walk_length=len(window) - 1), g.n)
 
@@ -693,22 +762,26 @@ class TestRevealMemo:
         assert sorted(g.derived(("node-terms", r), dict)) == [0, 1]
 
     def test_campaign_memo_bound(self):
-        """After a demo-graph triangle campaign at most 2R windows are stored
-        for each value mode, each a pair of adjacent states."""
+        """After a demo-graph triangle campaign, whose totals and ratios take
+        different value modes, one memo holds at most 2R windows, each a pair
+        of adjacent states, and no memo key holds a value mode."""
         cfg = CampaignConfig(experiment="motif-total", weights="ppw", lengths=(50,),
                              r_values=(0.1, 6.0), w_values=(1.0,), replicates=20,
                              replicates_ratio=20)
         graph = load_graph(cfg)  # the demo graph, not the shared fixture's copy
         run_campaign(cfg, graph)
         n_triangles = len(enumerate_motifs(graph, MotifKind.TRIANGLE))
-        for value_mode in ("ones", "product"):
-            memo = reveal_memo(graph, MotifKind.TRIANGLE, value_mode)
-            assert 0 < len(memo) <= 2 * graph.edge_count
-            assert sum(len(keys) for _, keys, _ in memo.values()) <= 6 * n_triangles
-            for window, (stored, keys, values) in memo.items():
-                assert stored == window
-                assert all(graph.has_edge(a, b) for a, b in zip(window, window[1:]))
-                assert len(keys) == len(values)
+        memos = [key for key in graph._derived if key[0] == "reveals"]
+        assert memos == [("reveals", MotifKind.TRIANGLE)]
+        assert not [key for key in graph._derived
+                    if isinstance(key, tuple) and {"ones", "product"} & set(key)]
+        memo = reveal_memo(graph, MotifKind.TRIANGLE)
+        assert 0 < len(memo) <= 2 * graph.edge_count
+        assert sum(len(keys) for _, keys in memo.values()) <= 6 * n_triangles
+        for window, (stored, keys) in memo.items():
+            assert stored == window
+            assert all(graph.has_edge(a, b) for a, b in zip(window, window[1:]))
+            assert keys == _window_occurrences(graph, window, MotifKind.TRIANGLE)
 
     def test_campaign_table_bound(self):
         """After demo-graph motif-total campaigns, each window table holds at most
@@ -725,8 +798,8 @@ class TestRevealMemo:
                          graph)
         tables = window_tables(graph)
         assert {key[1] for key in tables} == set(kinds)
-        assert len(tables) == 2 * (2 + 2 + 4)  # value modes times (r, w) cells, w only for q = 2
-        for (_, kind, scheme, value_mode, r, w), table in tables.items():
+        assert len(tables) == 2 + 2 + 4  # (r, w) cells, w only for q = 2
+        for (_, kind, scheme, r, w), table in tables.items():
             q = OBSERVATION_ORDER[kind]
             assert 0 < len(table) <= bound[q]
             cfg = WalkConfig(r=r, w=0.5 if w is None else w)  # windows of q <= 1 do not read w
@@ -734,7 +807,7 @@ class TestRevealMemo:
                 assert len(window) == len(set(window)) == q + 1
                 assert all(graph.has_edge(a, b) for a, b in zip(window, window[1:]))
                 trace = WalkTrace(window, replace(cfg, walk_length=q), graph.n)
-                found = detect_observations(trace, graph, kind, value_mode)
+                found = detect_observations(trace, graph, kind, "product")
                 assert list(values) == [obs.occurrence.value for obs in found]
                 assert list(weights) == [reference_weights(graph, cfg, obs, scheme)[window]
                                          for obs in found]
@@ -742,8 +815,8 @@ class TestRevealMemo:
 
     def test_campaign_weight_memo_bound(self):
         """After a demo-graph prevalence and triangle motif-total campaign, at most
-        N node terms are kept per r and at most 2R window probabilities per
-        (value mode, r), each the value the unmemoised reads give.  The window
+        N node terms are kept per r and one triangle table of at most 2R window
+        probabilities per r, each the value the unmemoised reads give.  The window
         tables keep the probabilities, and triangle weights read none, so no
         separate window weight is kept."""
         graph = load_graph(CampaignConfig(experiment="prevalence"))
@@ -762,13 +835,13 @@ class TestRevealMemo:
             for w in w_values:
                 assert not graph.derived(("window-weights", r, w), dict)
                 cfg = WalkConfig(r=r, w=w)
-                for value_mode in ("ones", "product"):
-                    table = window_table(graph, MotifKind.TRIANGLE, "ppw", value_mode, cfg)
-                    assert 0 < len(table) <= 2 * graph.edge_count
-                    for seq, (prob, values, _) in table.items():
-                        assert len(seq) == 2 and graph.has_edge(*seq)
-                        if values:
-                            assert prob == sequence_prob(graph, cfg, seq)
+                table = window_table(graph, MotifKind.TRIANGLE, "ppw", cfg)
+                assert 0 < len(table) <= 2 * graph.edge_count
+                for seq, (prob, values, _) in table.items():
+                    assert len(seq) == 2 and graph.has_edge(*seq)
+                    if values:
+                        assert prob == sequence_prob(graph, cfg, seq)
+        assert len(window_tables(graph)) == len(r_values)
 
 
 def window_mean(trace, provider, cfg, kind, scheme, size):
@@ -842,7 +915,7 @@ class TestExactOracle:
         for _ in range(2):
             assert exact_expectation(g, cfg, check) == pytest.approx(1.0, rel=1e-12)
         tables = window_tables(g)  # the node ratio under multiplicity sums node terms instead
-        assert len(tables) == 2 * len(EXACT_TOTALS) - 1
+        assert len(tables) == len(EXACT_TOTALS)
         assert all(tables.values())
 
     def test_walk_law_sums_to_one(self):

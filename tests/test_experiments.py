@@ -27,6 +27,7 @@ from lagwalk import (
     estimate_size_gr,
     estimate_ratio,
     estimate_size_grcr,
+    estimate_total,
     marginal_at_t,
     stationary_node,
     weighted_mean_degree,
@@ -285,36 +286,38 @@ class TestMotifTotalRunner:
         assert all(row["mean"] > 0 for row in rows["ppw"])
         assert rows["ppw"] == rows["multiplicity"]
 
-    def test_rule_runs_once_per_adjacent_window_and_value_mode(self, monkeypatch, study_graph):
+    def test_rule_runs_once_per_adjacent_window(self, monkeypatch, study_graph):
         """On the demo graph a jump window skips the detection rule, and the
-        graph keeps what the rule found, so each adjacent window runs it at
-        most once per value mode: "ones" for totals, "product" for ratios."""
+        graph keeps what the rule found once per kind, so each adjacent window
+        runs it exactly once across both targets ("ones" totals and "product"
+        ratios) and all four (r, w) cells."""
         calls = Counter()
-        mode = []
-        reveal, rule = estimators._reveal, estimators._window_occurrences
+        target = []
+        rule = estimators._window_occurrences
 
-        def tagged_reveal(provider, kind, value_mode):
-            inner = reveal(provider, kind, value_mode)
-
-            def tagged(window):
-                mode[:] = [value_mode]
-                return inner(window)
-            return tagged
+        def tagged(name, estimate):
+            def run(*args, **kwargs):
+                target[:] = [name]
+                return estimate(*args, **kwargs)
+            return run
 
         def counted_rule(provider, window, kind):
-            calls[window, mode[0]] += 1
+            calls[window, target[0]] += 1
             return rule(provider, window, kind)
 
-        monkeypatch.setattr(estimators, "_reveal", tagged_reveal)
+        monkeypatch.setattr(experiments, "estimate_total", tagged("total", estimate_total))
+        monkeypatch.setattr(experiments, "estimate_ratio", tagged("ratio", estimate_ratio))
         monkeypatch.setattr(estimators, "_window_occurrences", counted_rule)
         cfg = CampaignConfig(experiment="motif-total", motif=MotifKind.TRIANGLE, weights="ppw",
                              r_values=(0.1, 6.0), w_values=(1.0, 0.01), lengths=(50,),
                              replicates=8, replicates_ratio=8, seed=7, max_failure_rate=1.0)
-        run_motif_total(cfg)
-        assert {value_mode for _, value_mode in calls} == {"ones", "product"}
-        assert set(calls.values()) == {1}
-        assert all(study_graph.has_edge(*window) for window, _ in calls)
-        assert len(calls) <= 2 * 2 * study_graph.edge_count
+        rows = run_motif_total(cfg)
+        assert Counter(row["target"] for row in rows) == {"total": 4, "ratio": 4}
+        assert {name for _, name in calls} == {"total", "ratio"}
+        windows = Counter(window for window, _ in calls)
+        assert set(windows.values()) == {1}
+        assert all(study_graph.has_edge(*window) for window in windows)
+        assert len(windows) <= 2 * study_graph.edge_count
 
     def test_failure_threshold_raises(self):
         cfg = small_cfg(experiment="motif-total", lengths=(6,), replicates=8,
@@ -768,6 +771,15 @@ class TestCli:
                         "--walk-length", "5")
         assert code == EXIT_CONFIG
         assert "graph_seed=-1 must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes", ["0", "-5"])
+    def test_generated_graph_without_nodes_exits_2(self, capsys, nodes):
+        """The node count is checked before the case count it bounds."""
+        code = self.run("prevalence", "--nodes", nodes, "--cases", "0", "--replicates", "2")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"n_nodes={nodes} must be at least 1" in err
+        assert "n_cases" not in err
 
     def test_size_walk_length_below_one_exits_2(self, capsys):
         code = self.run("size", "--walk-length", "5 0", "--replicates", "2")
